@@ -1,10 +1,11 @@
 """E8: the bulk execution path — batched vs row-at-a-time publish+collect.
 
 Row-at-a-time is the seed implementation: one ``StorageEngine.put`` and one
-``PlatformClient.create_task`` / ``get_task_runs`` round-trip per row.
-Batched is the bulk path this table of sizes exists to justify: one
-``get_many``/``put_many`` against the cache and one ``create_tasks`` /
-``get_task_runs_for_project`` call per verb.  Both modes run the identical
+platform round-trip per row — a one-spec ``create_tasks`` to publish, a
+one-task ``get_task_runs_page`` to collect.  Batched is the bulk path this
+table of sizes exists to justify: one ``get_many``/``put_many`` against the
+cache, one ``create_tasks`` call and one streamed pass of
+``get_task_runs_page`` pages per verb.  Both modes run the identical
 workload (publish 5k tasks, simulate the crowd untimed, collect 5k results)
 against the SQLite engine — the default durable engine Bob actually shares —
 and must end with identical cache contents.  The acceptance floor is a 3x
@@ -81,8 +82,8 @@ def run_mode(base_dir: str, mode: str, objects: list) -> dict:
             for obj, key in zip(objects, keys):
                 if cache.get_task(key) is not None:
                     continue
-                info = presenter.build_task_info(obj)
-                task = client.create_task(project.project_id, info, n_assignments=REDUNDANCY)
+                spec = {"info": presenter.build_task_info(obj), "n_assignments": REDUNDANCY}
+                (task,) = client.create_tasks(project.project_id, [spec])
                 cache.put_task(key, _descriptor(task, key, presenter.task_type))
         else:
             cached = cache.get_tasks(keys)
@@ -113,17 +114,24 @@ def run_mode(base_dir: str, mode: str, objects: list) -> dict:
 
     with Stopwatch() as collect:
         if mode == "row":
+            # Rows were published in key order, so each row's task is the
+            # one page entry after the previous row's.
+            cursor = None
             for key in keys:
                 if cache.get_result(key) is not None:
                     continue
                 descriptor = cache.get_task(key)
-                runs = client.get_task_runs(descriptor["task_id"])
+                ((task_id, runs),) = client.get_task_runs_page(
+                    project.project_id, 1, start_after=cursor
+                )
+                assert task_id == descriptor["task_id"]
+                cursor = task_id
                 cache.put_result(key, _result(descriptor, runs))
         else:
             cached = cache.get_results(keys)
             missing = [key for key, hit in zip(keys, cached) if hit is None]
             descriptors = cache.get_tasks(missing)
-            runs_by_task = client.get_task_runs_for_project(project.project_id)
+            runs_by_task = dict(client.iter_task_runs_for_project(project.project_id))
             cache.put_results(
                 {
                     key: _result(descriptor, runs_by_task.get(descriptor["task_id"], []))

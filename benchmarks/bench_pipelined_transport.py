@@ -139,7 +139,7 @@ def run_append_batch(batch_size: int, base_dir: str, num_tasks: int) -> dict:
     with Stopwatch() as simulate:
         created = client.simulate_work(project_id=project.project_id)
     assert created == num_tasks * REDUNDANCY
-    assert client.is_project_complete(project.project_id)
+    assert client.statistics()["pending_assignments"] == 0
     client.server.close()
     return {
         "append_batch_size": batch_size,

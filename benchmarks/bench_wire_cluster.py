@@ -79,7 +79,7 @@ def _own_project_worker(index: int, addresses, tasks: int, queue) -> None:
             project.project_id, make_specs(f"c{index}", tasks)
         )
         created = client.simulate_work(project_id=project.project_id)
-        runs = client.get_task_runs_for_project(project.project_id)
+        runs = dict(client.iter_task_runs_for_project(project.project_id))
         assert len(published) == tasks
         assert created == tasks * REDUNDANCY
         assert len(runs) == tasks
@@ -193,8 +193,8 @@ def run_shared_dedup_race(base_dir: str, clients: int, keys: int) -> dict:
         assert len(set(results[0]["task_ids"])) == keys
         census_client = WireClient(*addresses[0])
         try:
-            tasks = census_client.list_tasks(results[0]["project_id"])
-            assert len(tasks) == keys, f"duplicates: {len(tasks)} tasks for {keys} keys"
+            task_ids = list(census_client.iter_project_task_ids(results[0]["project_id"]))
+            assert len(task_ids) == keys, f"duplicates: {len(task_ids)} tasks for {keys} keys"
         finally:
             census_client.close()
     finally:

@@ -47,13 +47,22 @@ def main() -> None:
     server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=3))
     client = PlatformClient(server)
     project = client.create_project("tour-project", description="architecture tour")
-    task = client.create_task(
+    (task,) = client.create_tasks(
         project.project_id,
-        {"object": "http://img/1.jpg", "candidates": ["Yes", "No"], "_true_answer": "Yes"},
-        n_assignments=3,
+        [
+            {
+                "info": {
+                    "object": "http://img/1.jpg",
+                    "candidates": ["Yes", "No"],
+                    "_true_answer": "Yes",
+                },
+                "n_assignments": 3,
+            }
+        ],
     )
     client.simulate_work(project.project_id)
-    answers = [run.answer for run in client.get_task_runs(task.task_id)]
+    ((_, runs),) = client.get_task_runs_page(project.project_id, 1)
+    answers = [run.answer for run in runs]
     print(f"project {project.name!r}, task {task.task_id}, answers from the crowd: {answers}")
     print("worker pool composition:", pool.statistics()["behaviors"])
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -27,11 +28,14 @@ from repro.core.export import (
     stored_tables,
 )
 from repro.core.lineage import LineageQuery
-from repro.exceptions import ReprowdError
+from repro.exceptions import ReprowdError, StorageError
 from repro.storage.sqlite_engine import SqliteEngine
 
 
 def _open(db_path: str) -> SqliteEngine:
+    # SqliteEngine creates a missing file; a read-only examiner must not.
+    if not os.path.isfile(db_path):
+        raise StorageError(f"no such database file: {db_path}")
     return SqliteEngine(db_path)
 
 
@@ -150,10 +154,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush inside the try so a reader that closed the pipe early
+        # (``| head``) surfaces here rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ReprowdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -479,7 +479,7 @@ class CrowdData:
         Tasks should have been published with ``policy.initial_assignments``.
         Each round simulates the crowd, then walks the platform's paged
         task-run stream **once** — O(pages) round-trips per round instead of
-        one ``get_task_runs`` call per unresolved task — feeding only each
+        one round-trip per unresolved task — feeding only each
         task's *new* runs into an incremental quality model.  Items whose
         confidence crosses the policy threshold stop purchasing answers, and
         a single batched ``extend_tasks_redundancy`` call per round tops up

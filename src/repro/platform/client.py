@@ -2,8 +2,12 @@
 
 The client is the only part of the platform package that the core library
 talks to.  It mirrors the subset of the ``pbclient`` API the original
-Reprowd uses — create/find project, create task, fetch task runs — plus a
-``simulate_work`` call that stands in for "wait for humans to answer".
+Reprowd uses, in bulk form only — create/find project, publish a batch of
+dedup-keyed tasks, extend a batch's redundancy, page through task ids and
+task runs with an exclusive cursor — plus a ``simulate_work`` call that
+stands in for "wait for humans to answer".  Every verb here is also a wire
+op (:data:`repro.platform.wire.WIRE_OPS`); a single task is a one-spec
+batch, and a whole project is the page stream.
 
 All calls go through a :class:`repro.platform.transport.Transport`, and every
 write is retried on transport failure, which together with the server's
@@ -121,23 +125,6 @@ class PlatformClient:
 
     # -- tasks -------------------------------------------------------------------
 
-    def create_task(
-        self,
-        project_id: int,
-        info: dict[str, Any],
-        n_assignments: int | None = None,
-        dedup_key: str | None = None,
-    ) -> Task:
-        """Publish one task and return its descriptor."""
-        return self._call(
-            "create_task",
-            self.server.create_task,
-            project_id,
-            info,
-            n_assignments=n_assignments,
-            dedup_key=dedup_key,
-        )
-
     def create_tasks(
         self, project_id: int, task_specs: Sequence[dict[str, Any]]
     ) -> list[Task]:
@@ -156,19 +143,9 @@ class PlatformClient:
         """Return the task with *task_id*."""
         return self._call("get_task", self.server.get_task, task_id)
 
-    def list_tasks(self, project_id: int) -> list[Task]:
-        """Return every task of *project_id*."""
-        return self._call("list_tasks", self.server.list_tasks, project_id)
-
     def delete_task(self, task_id: int) -> None:
         """Delete one task and its task runs."""
         self._call("delete_task", self.server.delete_task, task_id)
-
-    def extend_task_redundancy(self, task_id: int, extra: int) -> Task:
-        """Request *extra* additional assignments for an existing task."""
-        return self._call(
-            "extend_task_redundancy", self.server.extend_task_redundancy, task_id, extra
-        )
 
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
         """Request extra assignments for a batch of tasks in one round-trip.
@@ -184,23 +161,6 @@ class PlatformClient:
         )
 
     # -- task runs ------------------------------------------------------------------
-
-    def get_task_runs(self, task_id: int) -> list[TaskRun]:
-        """Return the answers collected so far for *task_id*."""
-        return self._call("get_task_runs", self.server.get_task_runs, task_id)
-
-    def get_task_runs_for_project(self, project_id: int) -> dict[int, list[TaskRun]]:
-        """Return every task's runs of *project_id* in one call, by task id.
-
-        Materialises the whole project; prefer
-        :meth:`iter_task_runs_for_project` for projects that may not fit in
-        memory.
-        """
-        return self._call(
-            "get_task_runs_for_project",
-            self.server.get_task_runs_for_project,
-            project_id,
-        )
 
     def list_project_task_ids(
         self, project_id: int, limit: int, start_after: int | None = None
@@ -226,40 +186,6 @@ class PlatformClient:
                 return
             cursor = page[-1]
 
-    def list_project_task_ids_slice(
-        self, project_id: int, limit: int, offset: int = 0
-    ) -> list[int]:
-        """One offset-addressed slice of the project's task ids.
-
-        Sibling of :meth:`list_project_task_ids` whose position is an
-        absolute offset instead of a chained cursor — slices at different
-        offsets are independent, which is what lets the pipelined client
-        fetch several of them concurrently.  Offsets past the end return
-        ``[]``.
-        """
-        return self._call(
-            "list_project_task_ids_slice",
-            self.server.list_project_task_ids_slice,
-            project_id,
-            limit,
-            offset,
-        )
-
-    def get_task_runs_slice(
-        self, project_id: int, limit: int, offset: int = 0
-    ) -> list[tuple[int, list[TaskRun]]]:
-        """One offset-addressed slice of ``(task_id, runs)`` pairs.
-
-        Same offset contract as :meth:`list_project_task_ids_slice`.
-        """
-        return self._call(
-            "get_task_runs_slice",
-            self.server.get_task_runs_slice,
-            project_id,
-            limit,
-            offset,
-        )
-
     def get_task_runs_page(
         self, project_id: int, limit: int, start_after: int | None = None
     ) -> list[tuple[int, list[TaskRun]]]:
@@ -277,10 +203,9 @@ class PlatformClient:
     ) -> Iterator[tuple[int, list[TaskRun]]]:
         """Generate every task's ``(task_id, runs)`` pair, page by page.
 
-        Streaming sibling of :meth:`get_task_runs_for_project`: identical
-        contents, but each transport round-trip carries at most *page_size*
-        tasks' runs, and each page is retried independently — a transport
-        failure mid-stream re-fetches one page, not the whole project.
+        Each transport round-trip carries at most *page_size* tasks' runs,
+        and each page is retried independently — a transport failure
+        mid-stream re-fetches one page, not the whole project.
         """
         cursor: int | None = None
         while True:
@@ -289,18 +214,6 @@ class PlatformClient:
             if len(page) < page_size:
                 return
             cursor = page[-1][0]
-
-    def is_task_complete(self, task_id: int) -> bool:
-        """Return True when the task has all requested answers."""
-        return self._call("is_task_complete", self.server.is_task_complete, task_id)
-
-    def is_project_complete(self, project_id: int) -> bool:
-        """Return True when every task of the project is answered."""
-        return self._call("is_project_complete", self.server.is_project_complete, project_id)
-
-    def pending_assignments(self, project_id: int | None = None) -> int:
-        """Return the number of outstanding assignments."""
-        return self._call("pending_assignments", self.server.pending_assignments, project_id)
 
     # -- crowd simulation ---------------------------------------------------------------
 
@@ -452,6 +365,41 @@ class PipelinedClient(PlatformClient):
                     window.popleft().result()
                 except PlatformUnavailableError:
                     pass
+
+    # -- offset slices (in-process only; not wire verbs) ------------------------
+
+    def list_project_task_ids_slice(
+        self, project_id: int, limit: int, offset: int = 0
+    ) -> list[int]:
+        """One offset-addressed slice of the project's task ids.
+
+        Sibling of :meth:`list_project_task_ids` whose position is an
+        absolute offset instead of a chained cursor — slices at different
+        offsets are independent, which is what lets this client fetch
+        several of them concurrently.  Offsets past the end return ``[]``.
+        """
+        return self._call(
+            "list_project_task_ids_slice",
+            self.server.list_project_task_ids_slice,
+            project_id,
+            limit,
+            offset,
+        )
+
+    def get_task_runs_slice(
+        self, project_id: int, limit: int, offset: int = 0
+    ) -> list[tuple[int, list[TaskRun]]]:
+        """One offset-addressed slice of ``(task_id, runs)`` pairs.
+
+        Same offset contract as :meth:`list_project_task_ids_slice`.
+        """
+        return self._call(
+            "get_task_runs_slice",
+            self.server.get_task_runs_slice,
+            project_id,
+            limit,
+            offset,
+        )
 
     # -- pipelined verbs ----------------------------------------------------------
 

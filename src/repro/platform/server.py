@@ -16,19 +16,14 @@ behaviour is the original in-process simulator; with a
 crash-and-rerun: a server reconstructed on the same storage engine resumes
 with identical ids, identical dedup behaviour and working page cursors.
 
-Result retrieval comes in three shapes, from smallest to largest scope:
-
-* ``get_task_runs(task_id)`` — one task's answers (one round-trip per task,
-  the seed behaviour);
-* ``get_task_runs_for_project(project_id)`` — every task's answers as one
-  dict (one round-trip, but the whole project resident in memory at once);
-* the **streaming pipeline** — ``list_project_task_ids`` /
-  ``get_task_runs_page`` return fixed-size pages in publication order with
-  an exclusive task-id cursor (the storage layer's ``scan`` contract
-  transplanted to the platform), and ``iter_task_runs_for_project`` chains
-  the pages into a generator so a project larger than memory can be
-  collected in bounded space.  Pages are stable under appends: tasks created
-  while iterating (e.g. a republish) only ever land after the cursor.
+Result retrieval is one stream: ``list_project_task_ids`` /
+``get_task_runs_page`` return fixed-size pages in publication order with an
+exclusive task-id cursor (the storage layer's ``scan`` contract transplanted
+to the platform), so a project larger than memory is collected in bounded
+space, one page per round-trip.  Pages are stable under appends: tasks
+created while iterating (e.g. a republish) only ever land after the cursor.
+The offset-addressed ``*_slice`` twins exist only for the in-process
+pipelined client, which fetches several slices concurrently.
 """
 
 from __future__ import annotations
@@ -166,40 +161,19 @@ class PlatformServer:
 
     # -- tasks -----------------------------------------------------------------------
 
-    def create_task(
-        self,
-        project_id: int,
-        info: dict[str, Any],
-        n_assignments: int | None = None,
-        dedup_key: str | None = None,
-    ) -> Task:
-        """Publish a task in *project_id* and return it.
-
-        Args:
-            project_id: The owning project.
-            info: Task payload shown to workers.
-            n_assignments: Requested redundancy (platform default when None).
-            dedup_key: Optional client-supplied idempotency key.  When a
-                live task of the same project was already created with this
-                key, that task is returned instead of a duplicate — the
-                property that makes retried and re-run batch publishes safe.
-        """
-        self.get_project(project_id)
-        redundancy = self._check_redundancy(n_assignments)
-        return self._create_tasks(project_id, [(info, redundancy, dedup_key)])[0]
-
     def create_tasks(
         self, project_id: int, task_specs: Sequence[dict[str, Any]]
     ) -> list[Task]:
         """Publish a batch of tasks in one call; return them in spec order.
 
-        Each spec is a dict with ``info`` (required), ``n_assignments`` and
-        ``dedup_key`` (both optional) — the same parameters
-        :meth:`create_task` takes per call.  All specs are validated before
-        any task is created, so a bad spec can never leave the batch
-        half-published; specs whose ``dedup_key`` matches an existing task
-        return that task, making the whole batch idempotent under client
-        retries and crash-and-rerun.
+        Each spec is a dict with ``info`` (required), ``n_assignments``
+        (requested redundancy; platform default when absent) and
+        ``dedup_key`` (a client-supplied idempotency key: a live task of the
+        same project created with that key is returned instead of a
+        duplicate).  All specs are validated before any task is created, so
+        a bad spec can never leave the batch half-published; specs whose
+        ``dedup_key`` matches an existing task return that task, making the
+        whole batch idempotent under client retries and crash-and-rerun.
         """
         self.get_project(project_id)
         validated: list[_ValidatedSpec] = []
@@ -291,11 +265,11 @@ class PlatformServer:
         one task per spec — ours where the claim won (or no key was given),
         the concurrent winner's where it lost.
         """
-        keyed = [
-            (key, task.task_id)
+        keyed = {
+            key: task.task_id
             for task, (_, _, key) in zip(created, new_specs)
             if key is not None
-        ]
+        }
         winners: dict[str, int] = {}
         if keyed:
             # Stage our candidate records *before* claiming (record-first,
@@ -305,7 +279,7 @@ class PlatformServer:
             self.store.stage_tasks(
                 [task for task, (_, _, key) in zip(created, new_specs) if key is not None]
             )
-            winners = self.store.claim_dedup_keys(project_id, keyed)
+            winners = self.store.claim_dedup_keys(project_id, list(keyed.items()))
 
         # A lost claim names a task some other server just created; fetch
         # those tasks in one read.  A winner id whose task is *dead* means
@@ -316,7 +290,7 @@ class PlatformServer:
         lost = {
             key: task_id
             for key, task_id in winners.items()
-            if task_id != dict(keyed)[key]
+            if task_id != keyed[key]
         }
         winner_tasks: dict[int, Task] = {}
         if lost:
@@ -364,31 +338,9 @@ class PlatformServer:
             raise TaskNotFoundError(task_id)
         return task
 
-    def list_tasks(self, project_id: int) -> list[Task]:
-        """Return every task of *project_id* in publication order."""
-        self.get_project(project_id)
-        tasks = self.store.get_tasks(self.store.project_task_ids(project_id))
-        # A crash mid-delete can leave an index entry whose task record is
-        # already gone; surface the live tasks, not a None.
-        return [task for task in tasks if task is not None]
-
     def delete_task(self, task_id: int) -> None:
         """Delete a task and its task runs."""
         self.store.remove_task(self.get_task(task_id))
-
-    def extend_task_redundancy(self, task_id: int, extra: int) -> Task:
-        """Request *extra* additional assignments for an existing task.
-
-        Used by adaptive quality control: ambiguous tasks get more answers
-        after their initial assignments disagree.
-        """
-        if extra <= 0:
-            raise PlatformError(f"extra assignments must be positive, got {extra}")
-        task = self.get_task(task_id)
-        task.n_assignments += extra
-        task.completed_at = None
-        self.store.update_task(task)
-        return task
 
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
         """Extend several tasks' redundancy in one round-trip.
@@ -416,33 +368,6 @@ class PlatformServer:
         return tasks
 
     # -- task runs --------------------------------------------------------------------
-
-    def get_task_runs(self, task_id: int) -> list[TaskRun]:
-        """Return the task runs collected so far for *task_id*."""
-        self.get_task(task_id)
-        return self.store.runs_for_task(task_id)
-
-    def project_task_runs(self, project_id: int) -> list[TaskRun]:
-        """Return every task run of *project_id*, grouped by task order."""
-        self.get_project(project_id)
-        runs: list[TaskRun] = []
-        for task_runs in self.store.runs_for_tasks(
-            self.store.project_task_ids(project_id)
-        ):
-            runs.extend(task_runs)
-        return runs
-
-    def get_task_runs_for_project(self, project_id: int) -> dict[int, list[TaskRun]]:
-        """Return every task's runs of *project_id*, keyed by task id.
-
-        One call replaces a :meth:`get_task_runs` round-trip per task when
-        collecting a whole experiment; tasks with no answers yet map to an
-        empty list, so membership also tells the caller which cached task
-        ids the platform still knows about.
-        """
-        self.get_project(project_id)
-        task_ids = self.store.project_task_ids(project_id)
-        return dict(zip(task_ids, self.store.runs_for_tasks(task_ids)))
 
     def _task_id_page(
         self, project_id: int, limit: int, start_after: int | None
@@ -495,8 +420,8 @@ class PlatformServer:
         """One offset-addressed slice of task ids, in publication order.
 
         Unlike the cursor pages, slices at different offsets are
-        independent of each other, so a pipelined client can fetch several
-        concurrently.  Slices are stable under appends (new tasks only ever
+        independent of each other, so the in-process pipelined client can
+        fetch several concurrently (slices are not wire verbs).  Slices are stable under appends (new tasks only ever
         land at higher offsets) but, unlike cursor pages, *not* under
         concurrent deletions, which shift later offsets down — the cursor
         API remains the general-purpose stream.  An offset at or past the
@@ -516,22 +441,6 @@ class PlatformServer:
         """
         page = self._task_id_slice(project_id, limit, offset)
         return list(zip(page, self.store.runs_for_tasks(page)))
-
-    def iter_task_runs_for_project(
-        self, project_id: int, page_size: int = 500
-    ) -> Iterator[tuple[int, list[TaskRun]]]:
-        """Generate every task's ``(task_id, runs)`` pair, one page at a time.
-
-        Streaming sibling of :meth:`get_task_runs_for_project`: identical
-        contents, but only *page_size* tasks' runs are resident at once.
-        """
-        cursor: int | None = None
-        while True:
-            page = self.get_task_runs_page(project_id, page_size, start_after=cursor)
-            yield from page
-            if len(page) < page_size:
-                return
-            cursor = page[-1][0]
 
     def _iter_task_id_pages(self, project_id: int) -> Iterator[list[int]]:
         """Walk a project's task-id pages — the one cursor loop every
@@ -556,8 +465,8 @@ class PlatformServer:
         """Walk ``(task, collected-run count)`` pairs in bounded memory.
 
         One id page, one bulk task read and one bulk run-count read per
-        ``_work_page_size`` chunk, so completion checks over a project
-        larger than memory never materialise it.
+        ``_work_page_size`` chunk, so counting pending assignments over a
+        project larger than memory never materialises it.
         """
         for page in self._iter_task_id_pages(project_id):
             counts = self.store.run_counts_for_tasks(page)
@@ -576,19 +485,6 @@ class PlatformServer:
             max(0, task.n_assignments - count)
             for pid in project_ids
             for task, count in self._iter_task_run_counts(pid)
-        )
-
-    def is_task_complete(self, task_id: int) -> bool:
-        """Return True when the task has received all requested answers."""
-        task = self.get_task(task_id)
-        return self.store.run_count(task_id) >= task.n_assignments
-
-    def is_project_complete(self, project_id: int) -> bool:
-        """Return True when every task of the project is complete."""
-        self.get_project(project_id)
-        return all(
-            count >= task.n_assignments
-            for task, count in self._iter_task_run_counts(project_id)
         )
 
     # -- work simulation -----------------------------------------------------------------

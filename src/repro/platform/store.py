@@ -296,12 +296,8 @@ class TaskStore(abc.ABC):
 
     # -- derived reads shared by both implementations ----------------------
 
-    def run_count(self, task_id: int) -> int:
-        """Return how many runs *task_id* has collected."""
-        return len(self.runs_for_task(task_id))
-
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
-        """Bulk :meth:`run_count`, positionally aligned with *task_ids*."""
+        """How many runs each of *task_ids* has collected, positionally aligned."""
         return [len(runs) for runs in self.runs_for_tasks(task_ids)]
 
     # -- introspection and lifecycle ---------------------------------------
@@ -487,9 +483,6 @@ class MemoryTaskStore(TaskStore):
 
     def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
         self._task_runs.setdefault(task_id, []).extend(runs)
-
-    def run_count(self, task_id: int) -> int:
-        return len(self._task_runs.get(task_id, ()))
 
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
         return [len(self._task_runs.get(task_id, ())) for task_id in task_ids]
@@ -1064,11 +1057,6 @@ class DurableTaskStore(TaskStore):
         )
         self._pending_runs = {}
         self._pending_run_count = 0
-
-    def run_count(self, task_id: int) -> int:
-        key = self._id_key(task_id)
-        payload = self._engine.get(self._runs_table, key, default=[])
-        return len(payload) + len(self._pending_runs.get(key, ()))
 
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
         keys = [self._id_key(task_id) for task_id in task_ids]

@@ -141,7 +141,7 @@ class AdaptiveCollectionStats:
         rounds: Number of collection rounds performed.
         pages_streamed: Task-run pages fetched across all rounds (the
             round-trip currency of the streaming loop; the legacy loop paid
-            one ``get_task_runs`` call per item per round instead).
+            one round-trip per item per round instead).
         answers_collected: Total answers collected across all items.
         items_resolved_early: Items that reached the confidence threshold
             before exhausting the assignment cap.

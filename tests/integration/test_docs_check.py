@@ -69,6 +69,21 @@ def test_benchmark_catalogue_is_complete():
     assert checker.check_benchmark_catalogue() == []
 
 
+def test_wire_op_list_matches_wire_ops():
+    checker = load_checker()
+    assert checker.check_wire_ops() == []
+
+
+def test_wire_op_check_catches_missing_and_extra_ops():
+    checker = load_checker()
+    text = (REPO_ROOT / "docs" / "wire.md").read_text(encoding="utf-8")
+    drifted = text.replace("- `ping` —", "- `create_task` —", 1)
+    problems = checker.check_wire_ops(drifted)
+    assert len(problems) == 2
+    assert any("'ping'" in problem and "not listed" in problem for problem in problems)
+    assert any("'create_task'" in problem and "not in WIRE_OPS" in problem for problem in problems)
+
+
 def test_docs_check_passes_end_to_end():
     """The exact check `make docs-check` runs, quickstart included."""
     checker = load_checker()

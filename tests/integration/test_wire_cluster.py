@@ -52,7 +52,7 @@ def run_workflow(client: PlatformClient, project_name: str) -> dict:
     project = client.create_project(project_name)
     tasks = client.create_tasks(project.project_id, make_specs("obj", 12, 2))
     created = client.simulate_work(project_id=project.project_id)
-    runs = client.get_task_runs_for_project(project.project_id)
+    runs = dict(client.iter_task_runs_for_project(project.project_id))
     return {
         "project_id": project.project_id,
         "task_ids": [task.task_id for task in tasks],
@@ -103,7 +103,7 @@ class TestSpawnedServer:
         handle.kill()
         assert not handle.alive()
         with pytest.raises(PlatformUnavailableError):
-            client.list_tasks(project.project_id)
+            client.list_project_task_ids(project.project_id, len(specs))
         client.close()
 
         restarted = spawn_server(
@@ -116,7 +116,9 @@ class TestSpawnedServer:
                 # the dead server created: same ids, nothing re-purchased.
                 replayed = client.create_tasks(project.project_id, specs)
                 assert [t.task_id for t in replayed] == [t.task_id for t in first]
-                assert len(client.list_tasks(project.project_id)) == len(specs)
+                assert client.list_project_task_ids(project.project_id, 100) == [
+                    t.task_id for t in first
+                ]
             finally:
                 client.close()
 
@@ -210,9 +212,9 @@ class TestTwoServerContention:
             for host, port in addresses:
                 client = WireClient(host, port)
                 try:
-                    tasks = client.list_tasks(results[0]["project_id"])
-                    assert len(tasks) == expected_total
-                    assert sorted(t.task_id for t in tasks) == sorted(set(all_ids))
+                    task_ids = list(client.iter_project_task_ids(results[0]["project_id"]))
+                    assert len(task_ids) == expected_total
+                    assert sorted(task_ids) == sorted(set(all_ids))
                 finally:
                     client.close()
         finally:

@@ -243,8 +243,9 @@ class TestBudgetWiring:
             .get_result()
         )
         task_id = data.column("task")[0]["task_id"]
-        task = cc.client.extend_task_redundancy(task_id, 2)
+        (task,) = cc.client.extend_tasks_redundancy({task_id: 2})
         assert task.n_assignments == 4
-        assert not cc.client.is_task_complete(task_id)
+        assert cc.client.statistics()["pending_assignments"] == 2
         cc.client.simulate_work()
-        assert len(cc.client.get_task_runs(task_id)) == 4
+        runs = dict(cc.client.get_task_runs_page(task.project_id, 10))
+        assert len(runs[task_id]) == 4

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,33 @@ class TestCli:
             payload = json.load(handle)
         assert payload["summary"]["cached_results"] == 8
         assert len(payload["lineage"]) == 24
+
+    def test_missing_database_is_refused_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "missing.db"
+        for command in (["tables"], ["describe"], ["lineage"]):
+            argv = command + [str(missing)] + (["t"] if command == ["lineage"] else [])
+            assert cli_main(argv) == 2
+            assert "no such database file" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_closed_stdout_exits_quietly(self, experiment_db):
+        db_path, _ = experiment_db
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "lineage", db_path, "cli_table"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Close the read end before the CLI writes a byte: every write it
+        # makes hits a closed pipe, like ``| head -0``.
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr
+        assert proc.returncode == 1
 
     def test_cli_is_read_only(self, experiment_db):
         db_path, labels = experiment_db

@@ -318,7 +318,7 @@ class TestPipelinedClientEquivalence:
         client.close()
 
     def test_slice_verbs_match_cursor_pages(self):
-        client = PlatformClient(make_server())
+        client = PipelinedClient(make_server())
         project = client.create_project("p")
         client.create_tasks(project.project_id, task_specs(55))
         cursor_ids = list(client.iter_project_task_ids(project.project_id, 10))
@@ -403,7 +403,7 @@ class TestPipelinedFaultInjection:
             store=DurableTaskStore(engine),
         )
         assert reopened.statistics()["task_runs"] == 320
-        assert reopened.is_project_complete(project.project_id)
+        assert reopened.pending_assignments(project.project_id) == 0
         client.close()
 
     def test_exhausted_retries_propagate_from_create_tasks(self):
@@ -426,10 +426,10 @@ class TestDurableStoreAppendBatch:
         server = make_server(store=store)
         client = PlatformClient(server)
         project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": 1, "_true_answer": "Yes"}, 3)
+        (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=3))
         server._fill_task(server.get_task(task.task_id), None, 0)
         # Before any flush the engine may be behind, but the store is not.
-        assert store.run_count(task.task_id) == 3
+        assert store.run_counts_for_tasks([task.task_id]) == [3]
         assert len(store.runs_for_task(task.task_id)) == 3
         assert [len(runs) for runs in store.runs_for_tasks([task.task_id])] == [3]
         store.flush()
@@ -465,7 +465,7 @@ class TestDurableStoreAppendBatch:
             store=DurableTaskStore(engine),
         )
         restarted.simulate_work(project.project_id)
-        assert restarted.is_project_complete(project.project_id)
+        assert restarted.pending_assignments(project.project_id) == 0
         assert restarted.statistics()["task_runs"] == 20
 
     def test_counts_include_buffered_runs(self):
@@ -474,7 +474,7 @@ class TestDurableStoreAppendBatch:
         server = make_server(store=store)
         client = PlatformClient(server)
         project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": 1, "_true_answer": "Yes"}, 2)
+        (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=2))
         server._fill_task(server.get_task(task.task_id), None, 0)
         assert store.counts()["task_runs"] == 2
 

@@ -37,21 +37,24 @@ class TestClientBasics:
     def test_task_lifecycle(self, server):
         client = PlatformClient(server)
         project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        (task,) = client.create_tasks(
+            project.project_id,
+            [{"info": {"object": "x", "_true_answer": "Yes"}, "n_assignments": 3}],
+        )
         assert client.get_task(task.task_id).task_id == task.task_id
-        assert client.pending_assignments(project.project_id) == 3
-        assert not client.is_task_complete(task.task_id)
+        assert client.statistics()["pending_assignments"] == 3
         client.simulate_work(project.project_id)
-        assert client.is_task_complete(task.task_id)
-        assert client.is_project_complete(project.project_id)
-        assert len(client.get_task_runs(task.task_id)) == 3
+        assert client.statistics()["pending_assignments"] == 0
+        ((task_id, runs),) = client.get_task_runs_page(project.project_id, 10)
+        assert task_id == task.task_id
+        assert len(runs) == 3
 
     def test_delete_task_and_project(self, server):
         client = PlatformClient(server)
         project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": "x"})
+        (task,) = client.create_tasks(project.project_id, [{"info": {"object": "x"}}])
         client.delete_task(task.task_id)
-        assert client.list_tasks(project.project_id) == []
+        assert client.list_project_task_ids(project.project_id, 10) == []
         client.delete_project(project.project_id)
         assert client.find_project("p") is None
 
@@ -73,9 +76,13 @@ class TestFaultInjectingTransport:
         client = PlatformClient(server, transport=transport, max_retries=10)
         project = client.create_project("p")
         for index in range(20):
-            client.create_task(project.project_id, {"object": index, "_true_answer": "Yes"}, 2)
+            client.create_tasks(
+                project.project_id,
+                [{"info": {"object": index, "_true_answer": "Yes"}, "n_assignments": 2}],
+            )
         client.simulate_work(project.project_id)
-        assert client.is_project_complete(project.project_id)
+        assert client.statistics()["pending_assignments"] == 0
+        assert len(client.list_project_task_ids(project.project_id, 100)) == 20
         assert transport.failures_injected > 0
 
     def test_duplicate_delivery_of_create_project_is_harmless(self, server):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import statistics
+import time
+
 import pytest
 
 from repro.config import PlatformConfig
@@ -26,6 +30,27 @@ def server(request, tmp_path):
     yield PlatformServer(worker_pool=pool, config=PlatformConfig(seed=1), store=store)
     if store is not None:
         store.close()
+
+
+def create_one(server, project_id, info, n_assignments=None, dedup_key=None):
+    """Publish one task as a one-spec ``create_tasks`` batch."""
+    spec = {"info": info, "n_assignments": n_assignments, "dedup_key": dedup_key}
+    return server.create_tasks(project_id, [spec])[0]
+
+
+def task_ids(server, project_id):
+    """The project's task ids in publication order, as one cursor page."""
+    return server.list_project_task_ids(project_id, 1000)
+
+
+def project_runs(server, project_id):
+    """Every run of the project, grouped by task order, read off the store."""
+    store = server.store
+    return [
+        run
+        for runs in store.runs_for_tasks(store.project_task_ids(project_id))
+        for run in runs
+    ]
 
 
 class TestModels:
@@ -68,7 +93,7 @@ class TestProjects:
 
     def test_delete_project_removes_tasks(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_one(server, project.project_id, {"object": "x"})
         server.delete_project(project.project_id)
         with pytest.raises(ProjectNotFoundError):
             server.get_project(project.project_id)
@@ -85,33 +110,33 @@ class TestProjects:
 class TestTasks:
     def test_create_task_uses_default_redundancy(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_one(server, project.project_id, {"object": "x"})
         assert task.n_assignments == server.config.default_redundancy
 
     def test_create_task_overrides_redundancy(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"}, n_assignments=7)
+        task = create_one(server, project.project_id, {"object": "x"}, n_assignments=7)
         assert task.n_assignments == 7
 
     def test_create_task_rejects_bad_redundancy(self, server):
         project = server.create_project("p")
         with pytest.raises(PlatformError):
-            server.create_task(project.project_id, {"object": "x"}, n_assignments=0)
+            create_one(server, project.project_id, {"object": "x"}, n_assignments=0)
 
     def test_create_task_unknown_project(self, server):
         with pytest.raises(ProjectNotFoundError):
-            server.create_task(42, {"object": "x"})
+            create_one(server, 42, {"object": "x"})
 
     def test_list_tasks_in_publication_order(self, server):
         project = server.create_project("p")
-        ids = [server.create_task(project.project_id, {"i": i}).task_id for i in range(5)]
-        assert [task.task_id for task in server.list_tasks(project.project_id)] == ids
+        ids = [create_one(server, project.project_id, {"i": i}).task_id for i in range(5)]
+        assert task_ids(server, project.project_id) == ids
 
     def test_delete_task(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_one(server, project.project_id, {"object": "x"})
         server.delete_task(task.task_id)
-        assert server.list_tasks(project.project_id) == []
+        assert task_ids(server, project.project_id) == []
 
 
 class TestBatchPublish:
@@ -121,14 +146,12 @@ class TestBatchPublish:
             project.project_id, [{"info": {"i": i}} for i in range(5)]
         )
         assert [task.info["i"] for task in tasks] == list(range(5))
-        assert [task.task_id for task in server.list_tasks(project.project_id)] == [
-            task.task_id for task in tasks
-        ]
+        assert task_ids(server, project.project_id) == [task.task_id for task in tasks]
 
     def test_batch_redundancy_matches_single_publish(self, server):
         project = server.create_project("p")
-        single_default = server.create_task(project.project_id, {"object": "a"})
-        single_custom = server.create_task(project.project_id, {"object": "b"}, 7)
+        single_default = create_one(server, project.project_id, {"object": "a"})
+        single_custom = create_one(server, project.project_id, {"object": "b"}, 7)
         batch_default, batch_custom = server.create_tasks(
             project.project_id,
             [{"info": {"object": "c"}}, {"info": {"object": "d"}, "n_assignments": 7}],
@@ -145,7 +168,7 @@ class TestBatchPublish:
             )
         with pytest.raises(PlatformError):
             server.create_tasks(project.project_id, [{"n_assignments": 3}])
-        assert server.list_tasks(project.project_id) == []
+        assert task_ids(server, project.project_id) == []
 
     def test_create_tasks_unknown_project(self, server):
         with pytest.raises(ProjectNotFoundError):
@@ -157,46 +180,47 @@ class TestBatchPublish:
         first = server.create_tasks(project.project_id, specs)
         replayed = server.create_tasks(project.project_id, specs)
         assert [task.task_id for task in replayed] == [task.task_id for task in first]
-        assert len(server.list_tasks(project.project_id)) == 4
+        assert len(task_ids(server, project.project_id)) == 4
 
     def test_dedup_is_shared_between_single_and_batch_publish(self, server):
         project = server.create_project("p")
-        single = server.create_task(project.project_id, {"i": 0}, dedup_key="k0")
-        (batched,) = server.create_tasks(
-            project.project_id, [{"info": {"i": 0}, "dedup_key": "k0"}]
+        single = create_one(server, project.project_id, {"i": 0}, dedup_key="k0")
+        batched, fresh = server.create_tasks(
+            project.project_id,
+            [{"info": {"i": 0}, "dedup_key": "k0"}, {"info": {"i": 1}, "dedup_key": "k1"}],
         )
         assert batched.task_id == single.task_id
+        assert fresh.task_id != single.task_id
 
     def test_dedup_is_scoped_per_project(self, server):
         first = server.create_project("p1")
         second = server.create_project("p2")
-        task_a = server.create_task(first.project_id, {"i": 0}, dedup_key="k")
-        task_b = server.create_task(second.project_id, {"i": 0}, dedup_key="k")
+        task_a = create_one(server, first.project_id, {"i": 0}, dedup_key="k")
+        task_b = create_one(server, second.project_id, {"i": 0}, dedup_key="k")
         assert task_a.task_id != task_b.task_id
 
     def test_deleted_task_is_not_resurrected_by_dedup(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"i": 0}, dedup_key="k")
+        task = create_one(server, project.project_id, {"i": 0}, dedup_key="k")
         server.delete_task(task.task_id)
-        fresh = server.create_task(project.project_id, {"i": 0}, dedup_key="k")
+        fresh = create_one(server, project.project_id, {"i": 0}, dedup_key="k")
         assert fresh.task_id != task.task_id
 
-    def test_get_task_runs_for_project_covers_every_task(self, server):
+    def test_task_runs_page_covers_every_task(self, server):
         project = server.create_project("p")
         tasks = server.create_tasks(
             project.project_id,
             [{"info": {"i": i, "_true_answer": "Yes"}, "n_assignments": 2} for i in range(3)],
         )
-        runs_map = server.get_task_runs_for_project(project.project_id)
-        assert runs_map == {task.task_id: [] for task in tasks}
+        page = server.get_task_runs_page(project.project_id, 10)
+        assert page == [(task.task_id, []) for task in tasks]
         server.simulate_work(project.project_id)
-        runs_map = server.get_task_runs_for_project(project.project_id)
-        assert set(runs_map) == {task.task_id for task in tasks}
-        assert all(len(runs) == 2 for runs in runs_map.values())
-        for task in tasks:
-            assert [run.run_id for run in runs_map[task.task_id]] == [
-                run.run_id for run in server.get_task_runs(task.task_id)
-            ]
+        page = server.get_task_runs_page(project.project_id, 10)
+        assert [task_id for task_id, _ in page] == [task.task_id for task in tasks]
+        assert all(len(runs) == 2 for _, runs in page)
+        assert [run for _, runs in page for run in runs] == project_runs(
+            server, project.project_id
+        )
 
     def test_assignment_strategy_identical_between_single_and_batch(self):
         """The same crowd answers the same tasks whichever way they were
@@ -216,7 +240,7 @@ class TestBatchPublish:
         single = build_server()
         project = single.create_project("p")
         for info in infos:
-            single.create_task(project.project_id, info, 3)
+            create_one(single, project.project_id, info, 3)
         single.simulate_work(project.project_id)
 
         batch = build_server()
@@ -228,13 +252,47 @@ class TestBatchPublish:
 
         single_runs = [
             (run.task_id, run.worker_id, run.answer)
-            for run in single.project_task_runs(project.project_id)
+            for run in project_runs(single, project.project_id)
         ]
         batch_runs = [
             (run.task_id, run.worker_id, run.answer)
-            for run in batch.project_task_runs(project_b.project_id)
+            for run in project_runs(batch, project_b.project_id)
         ]
         assert single_runs == batch_runs
+
+
+class TestPublishScaling:
+    @staticmethod
+    def keyed_publish_seconds(num_specs: int) -> float:
+        """Wall time of one dedup-keyed ``create_tasks`` batch on a fresh server."""
+        server = PlatformServer(
+            worker_pool=WorkerPool.uniform(size=3, accuracy=0.9, seed=1),
+            config=PlatformConfig(seed=1),
+        )
+        project = server.create_project("p")
+        specs = [{"info": {"i": i}, "dedup_key": f"k{i}"} for i in range(num_specs)]
+        # Like timeit: a collector pause inside one sample is noise, not
+        # publish cost.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            server.create_tasks(project.project_id, specs)
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
+
+    def test_keyed_publish_scales_linearly(self):
+        """Doubling a keyed batch must about double its cost: a per-key
+        rebuild of the claim map made it quadruple (ratio ~4).  Sizes are
+        interleaved so a burst of machine load hits both alike."""
+        self.keyed_publish_seconds(2000)  # warm-up
+        small, large = [], []
+        for _ in range(3):
+            small.append(self.keyed_publish_seconds(2000))
+            large.append(self.keyed_publish_seconds(4000))
+        ratio = statistics.median(large) / statistics.median(small)
+        assert ratio < 3, f"4000/2000-spec publish time ratio {ratio:.2f}"
 
 
 class TestBatchBudgetCharging:
@@ -306,62 +364,65 @@ class TestBatchBudgetCharging:
 class TestWorkSimulation:
     def test_pending_assignments_counts_missing_answers(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
-        server.create_task(project.project_id, {"object": "y", "_true_answer": "No"}, 2)
+        create_one(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_one(server, project.project_id, {"object": "y", "_true_answer": "No"}, 2)
         assert server.pending_assignments(project.project_id) == 5
 
     def test_simulate_work_fills_all_assignments(self, server):
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_one(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "Yes"},
             3,
         )
         created = server.simulate_work(project.project_id)
         assert created == 3
-        assert server.is_task_complete(task.task_id)
+        assert len(project_runs(server, project.project_id)) == task.n_assignments
         assert server.pending_assignments(project.project_id) == 0
 
     def test_simulate_work_is_idempotent_once_complete(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_one(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
         server.simulate_work(project.project_id)
         assert server.simulate_work(project.project_id) == 0
 
     def test_task_runs_have_distinct_workers(self, server):
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_one(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "Yes"},
             5,
         )
         server.simulate_work(project.project_id)
-        runs = server.get_task_runs(task.task_id)
+        runs = project_runs(server, project.project_id)
         assert len({run.worker_id for run in runs}) == 5
 
     def test_redundancy_above_pool_size_reuses_workers(self):
         pool = WorkerPool.uniform(size=2, accuracy=0.9, seed=1)
         server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=1))
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 4)
+        task = create_one(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 4)
         server.simulate_work(project.project_id)
-        assert len(server.get_task_runs(task.task_id)) == 4
+        assert len(project_runs(server, project.project_id)) == 4
 
     def test_max_assignments_limits_progress(self, server):
         project = server.create_project("p")
         for index in range(4):
-            server.create_task(project.project_id, {"object": index, "_true_answer": "Yes"}, 3)
+            create_one(server, project.project_id, {"object": index, "_true_answer": "Yes"}, 3)
         created = server.simulate_work(project.project_id, max_assignments=5)
         assert created == 5
         assert server.pending_assignments(project.project_id) == 7
 
     def test_assignment_order_and_timestamps_increase(self, server):
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_one(
+            server,
             project.project_id, {"object": "x", "_true_answer": "Yes"}, 3
         )
         server.simulate_work(project.project_id)
-        runs = server.get_task_runs(task.task_id)
+        runs = project_runs(server, project.project_id)
         assert [run.assignment_order for run in runs] == [1, 2, 3]
         times = [run.submitted_at for run in runs]
         assert times == sorted(times)
@@ -371,13 +432,14 @@ class TestWorkSimulation:
         pool = WorkerPool.uniform(size=5, accuracy=1.0, seed=1)
         server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=1))
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_one(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "No"},
             3,
         )
         server.simulate_work(project.project_id)
-        assert all(run.answer == "No" for run in server.get_task_runs(task.task_id))
+        assert all(run.answer == "No" for run in project_runs(server, project.project_id))
 
     def test_custom_answer_oracle(self):
         pool = WorkerPool.uniform(size=5, accuracy=1.0, seed=1)
@@ -387,15 +449,18 @@ class TestWorkSimulation:
             answer_oracle=lambda info: "Cat" if "cat" in str(info["object"]) else "Dog",
         )
         project = server.create_project("p")
-        task = server.create_task(
-            project.project_id, {"object": "a cat picture", "candidates": ["Cat", "Dog"]}, 2
+        task = create_one(
+            server,
+            project.project_id,
+            {"object": "a cat picture", "candidates": ["Cat", "Dog"]},
+            2,
         )
         server.simulate_work()
-        assert {run.answer for run in server.get_task_runs(task.task_id)} == {"Cat"}
+        assert {run.answer for run in project_runs(server, project.project_id)} == {"Cat"}
 
     def test_statistics(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_one(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
         server.simulate_work()
         stats = server.statistics()
         assert stats["projects"] == 1

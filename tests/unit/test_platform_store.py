@@ -9,7 +9,7 @@ Four layers of proof:
   the memory store and on a durable store (the stores are one equivalence
   class), and a server reconstructed on the same engine resumes with
   identical ids, dedup behaviour and page cursors — including a restart in
-  the middle of ``iter_task_runs_for_project``;
+  the middle of a ``get_task_runs_page`` stream;
 * CrowdData level — publish through the full stack, kill the whole context
   (server included), reopen the same database file, and collection
   completes exactly-once with stable task ids;
@@ -60,6 +60,17 @@ def publish_project(server, num_tasks=NUM_TASKS, redundancy=2):
         ],
     )
     return project, tasks
+
+
+def project_runs(server, project_id):
+    """Every run of the project, grouped by task order, read off the store
+    directly — a reference that does not go through the pager."""
+    store = server.store
+    return [
+        run
+        for runs in store.runs_for_tasks(store.project_task_ids(project_id))
+        for run in runs
+    ]
 
 
 class TestDurableStoreContract:
@@ -133,7 +144,7 @@ class TestTornPublishHealing:
             project.project_id, [{"info": {"i": 0}, "dedup_key": "k0"}]
         )
         assert task.task_id != 424242  # mapping to a never-written task ignored
-        assert [t.task_id for t in server.list_tasks(project.project_id)] == [task.task_id]
+        assert server.list_project_task_ids(project.project_id, 10) == [task.task_id]
         assert server.statistics()["tasks"] == 1
         # The replayed mapping now points at the real task.
         assert store.resolve_dedup_keys(project.project_id, ["k0"]) == {
@@ -153,21 +164,21 @@ class TestTornPublishHealing:
         sqlite_engine.put_many(
             store._tasks_table, [(store._id_key(task_id), orphan.to_dict())]
         )
-        assert server.list_tasks(project.project_id) == []  # invisible pre-replay
+        # Invisible pre-replay.
+        assert server.list_project_task_ids(project.project_id, 10) == []
 
         (replayed,) = server.create_tasks(
             project.project_id, [{"info": {"i": 0}, "dedup_key": "k0"}]
         )
         assert replayed.task_id == task_id  # no double publish
-        assert [t.task_id for t in server.list_tasks(project.project_id)] == [task_id]
         assert server.statistics()["tasks"] == 1
-        # Collection sees the healed task through the paged id stream too.
+        # Collection sees the healed task through the paged id stream.
         assert server.list_project_task_ids(project.project_id, 10) == [task_id]
 
     def test_unindexed_orphan_record_is_invisible(self, sqlite_engine):
         """Crash window for a spec *without* a dedup key: the task record
         landed but its index entry did not.  No replay can recognise it, so
-        it must stay invisible — to pages, lists and statistics alike."""
+        it must stay invisible — to id pages, run pages and statistics alike."""
         from repro.platform.models import Task
 
         store = DurableTaskStore(sqlite_engine)
@@ -179,12 +190,12 @@ class TestTornPublishHealing:
             store._tasks_table, [(store._id_key(orphan_id), orphan.to_dict())]
         )
         assert server.statistics()["tasks"] == 3
-        assert [t.task_id for t in server.list_tasks(project.project_id)] == [
-            t.task_id for t in tasks
-        ]
         assert server.list_project_task_ids(project.project_id, 10) == [
             t.task_id for t in tasks
         ]
+        assert [
+            task_id for task_id, _ in server.get_task_runs_page(project.project_id, 10)
+        ] == [t.task_id for t in tasks]
 
     def test_unknown_cursor_is_translated_but_infra_errors_are_not(self, sqlite_engine):
         from repro.exceptions import TableNotFoundError
@@ -209,7 +220,7 @@ class TestStoreEquivalence:
         server.simulate_work(project.project_id)
         runs = [
             (run.run_id, run.task_id, run.worker_id, run.answer, run.assignment_order)
-            for run in server.project_task_runs(project.project_id)
+            for run in project_runs(server, project.project_id)
         ]
         stats = server.statistics()
         return (
@@ -238,7 +249,9 @@ class TestServerRestart:
         assert [task.task_id for task in replayed] == ids
         assert reopened.statistics()["tasks"] == NUM_TASKS
         # Fresh ids continue after the highest pre-restart id.
-        extra = reopened.create_task(project.project_id, {"i": "x"}, 1)
+        (extra,) = reopened.create_tasks(
+            project.project_id, [{"info": {"i": "x"}, "n_assignments": 1}]
+        )
         assert extra.task_id == max(ids) + 1
 
     def test_restart_mid_simulation_completes_exactly_once(self, sqlite_engine):
@@ -251,10 +264,10 @@ class TestServerRestart:
         reopened = build_server(DurableTaskStore(sqlite_engine))
         topped_up = reopened.simulate_work(project.project_id)
         assert topped_up == NUM_TASKS * 2 - 9
-        assert reopened.is_project_complete(project.project_id)
+        assert reopened.pending_assignments(project.project_id) == 0
         assert reopened.statistics()["task_runs"] == NUM_TASKS * 2
         # Every run id is distinct across the restart boundary.
-        runs = reopened.project_task_runs(project.project_id)
+        runs = project_runs(reopened, project.project_id)
         assert len({run.run_id for run in runs}) == len(runs)
 
     def test_timestamps_never_regress_across_restart(self, sqlite_engine):
@@ -263,7 +276,7 @@ class TestServerRestart:
         server = build_server(DurableTaskStore(sqlite_engine))
         project, _ = publish_project(server, redundancy=2)
         server.simulate_work(project.project_id, max_assignments=9)
-        runs_before = server.project_task_runs(project.project_id)
+        runs_before = project_runs(server, project.project_id)
         latest = max(run.submitted_at for run in runs_before)
         seen_ids = {run.run_id for run in runs_before}
         del server
@@ -271,10 +284,11 @@ class TestServerRestart:
         reopened = build_server(DurableTaskStore(sqlite_engine))
         assert reopened.clock.now >= latest
         reopened.simulate_work(project.project_id)
-        for run in reopened.project_task_runs(project.project_id):
+        for run in project_runs(reopened, project.project_id):
             if run.run_id not in seen_ids:
                 assert run.submitted_at > latest
-        for task in reopened.list_tasks(project.project_id):
+        for task_id in reopened.list_project_task_ids(project.project_id, NUM_TASKS):
+            task = reopened.get_task(task_id)
             assert task.completed_at is not None
             assert task.completed_at >= task.created_at
 
@@ -299,11 +313,10 @@ class TestServerRestart:
         server = build_server(DurableTaskStore(sqlite_engine))
         project, _ = publish_project(server)
         server.simulate_work(project.project_id)
+        task_ids = server.store.project_task_ids(project.project_id)
         expected = {
             task_id: [run.run_id for run in runs]
-            for task_id, runs in server.get_task_runs_for_project(
-                project.project_id
-            ).items()
+            for task_id, runs in zip(task_ids, server.store.runs_for_tasks(task_ids))
         }
 
         collected: dict[int, list[int]] = {}

@@ -188,9 +188,9 @@ class TestTwoServersOneStore:
         assert ids_a == ids_b
         # ...and the store holds exactly one task per key, visible to both.
         for server in servers:
-            tasks = server.list_tasks(project_id)
-            assert sorted(t.task_id for t in tasks) == sorted(ids_a)
-            assert len(tasks) == len(SPECS)
+            task_ids = server.list_project_task_ids(project_id, 10 * len(SPECS))
+            assert sorted(task_ids) == sorted(ids_a)
+            assert len(task_ids) == len(SPECS)
 
     def test_concurrent_same_name_create_project_converges(self, engine):
         servers = [make_server(open_store(engine)) for _ in range(2)]
@@ -226,6 +226,7 @@ class TestTwoServersOneStore:
         created = servers[0].simulate_work(project_id=project_id)
         created += servers[1].simulate_work(project_id=project_id)
         assert created == len(SPECS)  # top-up idempotence: one answer per task
-        runs = servers[1].get_task_runs_for_project(project_id)
+        store = servers[1].store
+        runs = store.runs_for_tasks(store.project_task_ids(project_id))
         assert len(runs) == len(SPECS)
-        assert all(len(answers) == 1 for answers in runs.values())
+        assert all(len(answers) == 1 for answers in runs)

@@ -4,7 +4,7 @@ Three layers of proof:
 
 * platform level — ``iter_task_runs_for_project`` / ``list_project_task_ids``
   page through a project with the storage-style exclusive cursor and
-  reassemble to exactly ``get_task_runs_for_project``, with round-trip
+  reassemble to exactly the store's own whole-project read, with round-trip
   counts of ``ceil(tasks / page_size)`` (via :class:`CountingTransport`);
 * CrowdData level — a project with more rows than ``collect_page_size``
   collects the identical result column through the streaming path and the
@@ -65,15 +65,12 @@ def populated_project(request):
 class TestPlatformPaging:
     def test_stream_reassembles_to_batched_map(self, populated_project):
         client, project, _ = populated_project
-        batched = client.get_task_runs_for_project(project.project_id)
+        store = client.server.store
+        task_ids = store.project_task_ids(project.project_id)
+        batched = dict(zip(task_ids, store.runs_for_tasks(task_ids)))
         streamed = dict(client.iter_task_runs_for_project(project.project_id, PAGE_SIZE))
         assert streamed == batched
-        assert list(streamed) == list(batched)  # same publication order
-        # The server-side generator yields the identical stream.
-        server_streamed = dict(
-            client.server.iter_task_runs_for_project(project.project_id, PAGE_SIZE)
-        )
-        assert server_streamed == batched
+        assert list(streamed) == task_ids  # same publication order
 
     def test_paging_survives_task_deletion(self, populated_project):
         client, project, _ = populated_project
@@ -110,7 +107,7 @@ class TestPlatformPaging:
     def test_task_id_stream_matches_task_list(self, populated_project):
         client, project, _ = populated_project
         ids = list(client.iter_project_task_ids(project.project_id, PAGE_SIZE))
-        assert ids == [task.task_id for task in client.list_tasks(project.project_id)]
+        assert ids == client.server.store.project_task_ids(project.project_id)
 
     def test_bad_cursor_and_bad_limit_raise(self, populated_project):
         client, project, _ = populated_project
@@ -155,9 +152,14 @@ class TestStreamingCrowdDataCollection:
         pages = math.ceil(NUM_OBJECTS / PAGE_SIZE)
         assert transport.calls_by_name["get_task_runs_page"] <= pages
         assert transport.calls_by_name["list_project_task_ids"] == pages
-        # The seed behaviour this replaced: one get_task_runs call per row.
-        assert "get_task_runs" not in transport.calls_by_name
-        assert "get_task_runs_for_project" not in transport.calls_by_name
+        # Only bulk verbs cross the transport: nothing per row.
+        assert set(transport.calls_by_name) <= {
+            "create_project",
+            "create_tasks",
+            "simulate_work",
+            "list_project_task_ids",
+            "get_task_runs_page",
+        }
 
     def test_cache_flushes_are_bounded_by_page_size(self, tmp_path):
         durable = SqliteEngine(str(tmp_path / "bounded.db"))

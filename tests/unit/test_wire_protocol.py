@@ -334,6 +334,21 @@ def make_platform(store=None, seed: int = 11) -> PlatformServer:
     )
 
 
+#: Verbs the wire used to speak, with arguments that would have been
+#: valid against a one-project, one-task platform.
+REMOVED_OPS = {
+    "create_task": (1, {"i": 0}),
+    "extend_task_redundancy": (1, 1),
+    "get_task_runs": (1,),
+    "get_task_runs_for_project": (1,),
+    "list_tasks": (1,),
+    "is_task_complete": (1,),
+    "is_project_complete": (1,),
+    "pending_assignments": (1,),
+    "list_project_task_ids_slice": (1, 10, 0),
+    "get_task_runs_slice": (1, 10, 0),
+}
+
 SPECS = [
     {
         "info": {"url": f"img-{i}", "_true_answer": "Yes"},
@@ -354,10 +369,10 @@ class TestWireServerClient:
                 assert len(tasks) == len(SPECS)
                 created = client.simulate_work(project_id=project.project_id)
                 assert created == len(SPECS) * 2
-                runs = client.get_task_runs_for_project(project.project_id)
-                assert set(runs) == {task.task_id for task in tasks}
+                runs = dict(client.iter_task_runs_for_project(project.project_id))
+                assert list(runs) == [task.task_id for task in tasks]
                 assert all(len(answers) == 2 for answers in runs.values())
-                assert client.is_project_complete(project.project_id)
+                assert client.statistics()["pending_assignments"] == 0
             finally:
                 client.close()
 
@@ -369,7 +384,9 @@ class TestWireServerClient:
                 first = client.create_tasks(project.project_id, SPECS)
                 second = client.create_tasks(project.project_id, SPECS)
                 assert [t.task_id for t in first] == [t.task_id for t in second]
-                assert len(client.list_tasks(project.project_id)) == len(SPECS)
+                assert client.list_project_task_ids(project.project_id, 100) == [
+                    t.task_id for t in first
+                ]
             finally:
                 client.close()
 
@@ -390,12 +407,17 @@ class TestWireServerClient:
             with pytest.raises(PlatformError, match="invalid API key"):
                 WireClient(server.host, server.port, api_key="wrong-key")
 
-    def test_unknown_verb_rejected_without_touching_platform(self):
+    @pytest.mark.parametrize("op, args", sorted(REMOVED_OPS.items()))
+    def test_unknown_verb_rejected_without_touching_platform(self, op, args):
         with WireServer(make_platform()) as server:
             client = WireClient(server.host, server.port)
             try:
+                project = client.create_project("guarded")
+                client.create_tasks(project.project_id, SPECS[:1])
+                before = client.statistics()
                 with pytest.raises(PlatformError, match="unknown wire operation"):
-                    client.transport.call("drop_all_tables", None)
+                    client.transport.call(op, None, *args)
+                assert client.statistics() == before
                 # The connection survives a rejected verb: errors are
                 # answers, not faults.
                 assert client.transport.call("ping", None) == "pong"
@@ -468,7 +490,9 @@ class TestWireServerClient:
             client = WireClient(server.host, server.port)
             replayed = client.create_tasks(project.project_id, SPECS)
             assert [t.task_id for t in replayed] == [t.task_id for t in first]
-            assert len(client.list_tasks(project.project_id)) == len(SPECS)
+            assert client.list_project_task_ids(project.project_id, 100) == [
+                t.task_id for t in first
+            ]
             client.close()
         second_platform.close()
 
@@ -518,7 +542,9 @@ class TestWireServerClient:
     def test_wire_ops_cover_every_client_verb(self):
         # Every verb PlatformClient routes through its transport must be
         # dispatchable, or a remote client is strictly weaker than a local
-        # one.  (iter_* helpers are client-side loops over paged verbs.)
+        # one; and every wire op must be spoken by the client, or the
+        # server surface regrows verbs nobody calls.  (iter_* helpers are
+        # client-side loops over paged verbs.)
         import inspect
 
         from repro.platform.client import PlatformClient
@@ -530,7 +556,6 @@ class TestWireServerClient:
             )
             if not name.startswith("_")
             and not name.startswith("iter_")
-            and name not in {"close", "statistics"}
+            and name != "close"
         }
-        verbs.add("statistics")
-        assert verbs <= WIRE_OPS
+        assert verbs | {"require_auth", "flush", "ping"} == WIRE_OPS

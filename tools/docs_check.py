@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: lint the docs set, then smoke the quickstart.
 
-Five checks, all cheap enough for tier-1 (see ``make docs-check`` and
+Six checks, all cheap enough for tier-1 (see ``make docs-check`` and
 ``tests/integration/test_docs_check.py``):
 
 1. **Link lint** — every relative link or image target in ``README.md`` and
@@ -19,7 +19,11 @@ Five checks, all cheap enough for tier-1 (see ``make docs-check`` and
 4. **Benchmark catalogue** — every ``benchmarks/bench_*.py`` file must
    appear in ``docs/benchmarks.md``, keeping the catalogue unable to go
    stale.
-5. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
+5. **Wire-op list** — the ops listed under ``## Wire ops`` in
+   ``docs/wire.md`` (one ``- `op` — ...`` bullet each) must equal
+   ``repro.platform.wire.WIRE_OPS`` exactly, so the documented wire surface
+   can neither lag behind nor run ahead of the server's whitelist.
+6. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
    a throwaway database and its output must prove the fault-recovery
    guarantee the README promises: the second run publishes zero new tasks.
 
@@ -48,6 +52,12 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 
 #: The catalogue page every benchmark file must appear in.
 BENCH_CATALOGUE = os.path.join("docs", "benchmarks.md")
+
+#: The page whose ``## Wire ops`` section lists every wire op.
+WIRE_PAGE = os.path.join("docs", "wire.md")
+
+#: One op bullet of that section: ``- `op` — description``.
+_OP_BULLET = re.compile(r"^- `([a-z_]+)`", re.MULTILINE)
 
 
 def iter_doc_files() -> list[str]:
@@ -174,6 +184,36 @@ def check_benchmark_catalogue() -> list[str]:
     return problems
 
 
+def documented_wire_ops(text: str) -> set[str]:
+    """The op names bulleted under the ``## Wire ops`` heading of *text*."""
+    match = re.search(r"^## Wire ops\n(.*?)(?=^## |\Z)", text, re.MULTILINE | re.DOTALL)
+    return set(_OP_BULLET.findall(match.group(1))) if match else set()
+
+
+def check_wire_ops(text: str | None = None) -> list[str]:
+    """The ops documented in docs/wire.md must equal ``WIRE_OPS``."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    try:
+        from repro.platform.wire import WIRE_OPS
+    finally:
+        sys.path.pop(0)
+    if text is None:
+        wire_path = os.path.join(REPO_ROOT, WIRE_PAGE)
+        if not os.path.exists(wire_path):
+            return [f"missing wire page: {WIRE_PAGE}"]
+        text = _read(wire_path)
+    documented = documented_wire_ops(text)
+    problems = [
+        f"{WIRE_PAGE}: wire op {op!r} is in WIRE_OPS but not listed under '## Wire ops'"
+        for op in sorted(WIRE_OPS - documented)
+    ]
+    problems.extend(
+        f"{WIRE_PAGE}: '## Wire ops' lists {op!r}, which is not in WIRE_OPS"
+        for op in sorted(documented - WIRE_OPS)
+    )
+    return problems
+
+
 def run_quickstart() -> list[str]:
     """Run the quickstart headlessly; return problems (empty when healthy)."""
     env = dict(os.environ)
@@ -223,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     problems.extend(check_cross_links(existing))
     problems.extend(check_config_field_coverage(existing))
     problems.extend(check_benchmark_catalogue())
+    problems.extend(check_wire_ops())
     if not args.skip_quickstart:
         problems.extend(run_quickstart())
 
@@ -234,7 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     quickstart_note = "skipped" if args.skip_quickstart else "ok"
     print(
         f"docs-check: {checked} markdown file(s) link-clean and cross-linked, "
-        f"config fields + benchmark catalogue covered, quickstart {quickstart_note}"
+        f"config fields + benchmark catalogue + wire ops covered, "
+        f"quickstart {quickstart_note}"
     )
     return 0
 
