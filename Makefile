@@ -2,7 +2,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-trend profile docs-check examples-check check
+.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-trend perfbench profile docs-check examples-check check
 
 test:
 	$(PYTEST) -x -q
@@ -55,6 +55,11 @@ bench-smoke:
 # baselines at HEAD; fail on any >20% regression of a tracked metric.
 bench-trend:
 	python tools/bench_trend.py
+
+# Run every BENCHMARK.json workload for 5 s with tracing off; fail unless
+# each one's result line says "correct": true.
+perfbench:
+	python3 tools/perfbench_check.py --seconds 5
 
 # cProfile the hot-path benchmarks (smoke scale by default; SCALE=full for
 # paper scale); prints top-25 by cumulative time, saves .pstats under

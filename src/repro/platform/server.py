@@ -345,26 +345,29 @@ class PlatformServer:
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
         """Extend several tasks' redundancy in one round-trip.
 
-        The whole batch is validated before anything mutates — an unknown
-        task id or non-positive extra leaves every task untouched, so a
-        caller that charges budget per accepted extension never observes a
-        half-applied batch from a rejected request.  Returns the updated
-        tasks in the batch's iteration order.
+        One bulk task read and one bulk ``update_tasks`` write (one engine
+        batch on a durable store, so the extension lands atomically where
+        the engine's batches do).  The whole batch is validated before
+        anything mutates — an unknown task id or non-positive extra leaves
+        every task untouched, so a caller that charges budget per accepted
+        extension never observes a half-applied batch from a rejected
+        request.  Returns the updated tasks in the batch's iteration order.
         """
-        items: list[tuple[Task, int]] = []
-        for task_id, extra in extensions.items():
+        task_ids = list(extensions)
+        tasks = self.store.get_tasks(task_ids)
+        for task_id, task in zip(task_ids, tasks):
+            extra = extensions[task_id]
             if extra <= 0:
                 raise PlatformError(
                     f"extra assignments must be positive, got {extra} "
                     f"for task {task_id}"
                 )
-            items.append((self.get_task(task_id), extra))
-        tasks: list[Task] = []
-        for task, extra in items:
-            task.n_assignments += extra
+            if task is None:
+                raise TaskNotFoundError(task_id)
+        for task_id, task in zip(task_ids, tasks):
+            task.n_assignments += extensions[task_id]
             task.completed_at = None
-            self.store.update_task(task)
-            tasks.append(task)
+        self.store.update_tasks(tasks)
         return tasks
 
     # -- task runs --------------------------------------------------------------------
@@ -454,13 +457,6 @@ class PlatformServer:
                 return
             cursor = page[-1]
 
-    def _iter_tasks(self, project_id: int) -> Iterator[Task]:
-        """Walk a project's tasks in publication order, one store page at a time."""
-        for page in self._iter_task_id_pages(project_id):
-            for task in self.store.get_tasks(page):
-                if task is not None:
-                    yield task
-
     def _iter_task_run_counts(self, project_id: int) -> Iterator[tuple[Task, int]]:
         """Walk ``(task, collected-run count)`` pairs in bounded memory.
 
@@ -494,6 +490,10 @@ class PlatformServer:
     ) -> int:
         """Have simulated workers answer pending assignments.
 
+        Each project is filled one ``_work_page_size`` page of tasks at a
+        time, as one write wave per page (see :meth:`_fill_page`), so the
+        durable cost is O(pages), not O(tasks).
+
         Args:
             project_id: Restrict the simulation to one project (all when None).
             max_assignments: Stop after this many new answers (no limit when
@@ -511,14 +511,15 @@ class PlatformServer:
             project_ids = [project_id]
         try:
             for pid in project_ids:
-                for task in self._iter_tasks(pid):
-                    created += self._fill_task(task, max_assignments, created)
+                for page in self._iter_task_id_pages(pid):
+                    budget = None if max_assignments is None else max_assignments - created
+                    created += self._fill_page(page, budget)
                     if max_assignments is not None and created >= max_assignments:
                         return created
             return created
         finally:
             # With a run-append batch (PlatformConfig.append_batch_size >
-            # 1) the per-task writes above may still sit in the store's
+            # 1) the page appends above may still sit in the store's
             # write-behind buffer; flushing the appends restores the
             # call's durability contract — when simulate_work returns,
             # every answer it created is on the engine.  (Not a full
@@ -526,32 +527,87 @@ class PlatformServer:
             # engine commit/fsync per call.)
             self.store.flush_appends()
 
-    def _fill_task(self, task: Task, max_assignments: int | None, created_so_far: int) -> int:
-        """Fill one task's missing assignments; return answers created.
+    def _fill_page(self, task_ids: Sequence[int], budget: int | None) -> int:
+        """Fill the missing assignments of one page of tasks; return answers created.
 
-        All new runs of the task land in the store as one ``append_runs``
-        batch — on a durable store that is one engine write per task, and a
-        crash between tasks leaves whole-task prefixes that a rerun of
-        ``simulate_work`` tops up idempotently.
+        One wave per page: one bulk task read and one bulk run read, then
+        every missing answer is drawn in publication order (the same worker
+        picks, answers and clock advances as filling the tasks one by one),
+        then three writes in crash-safe order — one run-id reservation, one
+        bulk ``append_runs``, one bulk ``update_tasks`` of completion
+        stamps.  A crash between them leaves an id gap, whole-task run
+        lists without their stamps (a durable append lands per task or not
+        at all), or nothing; a rerun tops the runs up and heals the stamps.
+
+        *budget* caps the answers created (None: no cap); the page stops
+        after the task that exhausts it, even mid-task.
         """
-        runs = self.store.runs_for_task(task.task_id)
-        missing = task.n_assignments - len(runs)
-        if missing <= 0:
-            if task.completed_at is None:
-                # Heals the crash window between a durable append_runs and
-                # its update_task: the answers landed but the completion
-                # stamp did not, and no further answers will ever be
-                # created to set it.  Stamp with the final answer's own
-                # submission time, never before it.
-                task.completed_at = max(
-                    (run.submitted_at for run in runs), default=self.clock.now
-                )
-                self.store.update_task(task)
-            return 0
-        if max_assignments is not None:
-            missing = min(missing, max(0, max_assignments - created_so_far))
-            if missing == 0:
-                return 0
+        tasks = self.store.get_tasks(task_ids)
+        stored_runs = self.store.runs_for_tasks(task_ids)
+        drawn: list[tuple[Task, int, list[tuple[str, Any, float, float]]]] = []
+        stamps: list[tuple[Task, float]] = []
+        created = 0
+        for task, runs in zip(tasks, stored_runs):
+            if task is None:
+                continue
+            missing = task.n_assignments - len(runs)
+            if missing <= 0:
+                if task.completed_at is None:
+                    # Heals the crash window between a durable append_runs
+                    # and its update_tasks: the answers landed but the
+                    # completion stamp did not, and no further answers will
+                    # ever be created to set it.  Stamp with the final
+                    # answer's own submission time, never before it.
+                    stamps.append(
+                        (task, max((run.submitted_at for run in runs), default=self.clock.now))
+                    )
+            else:
+                if budget is not None:
+                    missing = min(missing, budget - created)
+                if missing > 0:
+                    answers = self._draw_answers(task, runs, missing)
+                    drawn.append((task, len(runs), answers))
+                    created += missing
+                    if len(runs) + missing >= task.n_assignments and task.completed_at is None:
+                        stamps.append((task, answers[-1][3]))
+            if budget is not None and created >= budget:
+                break
+        if drawn:
+            # Ids are reserved after the answers so the store can persist the
+            # advanced clock in the same counter write; the reservation still
+            # lands before the runs themselves, so a crash in between leaves
+            # an id gap, never a reused id.
+            run_id = self.store.allocate_run_ids(created, clock_time=self.clock.now)
+            runs_by_task: dict[int, list[TaskRun]] = {}
+            for task, collected, answers in drawn:
+                runs_by_task[task.task_id] = [
+                    TaskRun(
+                        run_id=run_id + offset,
+                        task_id=task.task_id,
+                        project_id=task.project_id,
+                        worker_id=worker_id,
+                        answer=answer,
+                        submitted_at=submitted_at,
+                        latency_seconds=latency,
+                        assignment_order=collected + offset + 1,
+                    )
+                    for offset, (worker_id, answer, latency, submitted_at) in enumerate(answers)
+                ]
+                run_id += len(answers)
+            self.store.append_runs(runs_by_task)
+        if stamps:
+            for task, completed_at in stamps:
+                task.completed_at = completed_at
+            self.store.update_tasks([task for task, _ in stamps])
+        return created
+
+    def _draw_answers(
+        self, task: Task, runs: Sequence[TaskRun], count: int
+    ) -> list[tuple[str, Any, float, float]]:
+        """Draw *count* new answers for *task*, advancing the clock per answer.
+
+        Returns ``(worker_id, answer, latency, submitted_at)`` per answer.
+        """
         already_assigned = {run.worker_id for run in runs}
         true_answer = self.answer_oracle(task.info)
         candidates = list(task.info.get("candidates") or [])
@@ -562,7 +618,7 @@ class PlatformServer:
             candidates = ["Yes", "No"] if true_answer is None else [true_answer, "No"]
         task_type = task.info.get("task_type")
         answers: list[tuple[str, Any, float, float]] = []
-        for _ in range(missing):
+        for _ in range(count):
             collected = len(runs) + len(answers)
             worker = self._pick_worker(
                 task, already_assigned, task.n_assignments - collected
@@ -576,29 +632,7 @@ class PlatformServer:
             )
             self.clock.advance(latency)
             answers.append((worker.worker_id, answer, latency, self.clock.now))
-        # Ids are reserved after the answers so the store can persist the
-        # advanced clock in the same counter write; the reservation still
-        # lands before the runs themselves, so a crash in between leaves an
-        # id gap, never a reused id.
-        first_run_id = self.store.allocate_run_ids(missing, clock_time=self.clock.now)
-        new_runs = [
-            TaskRun(
-                run_id=first_run_id + offset,
-                task_id=task.task_id,
-                project_id=task.project_id,
-                worker_id=worker_id,
-                answer=answer,
-                submitted_at=submitted_at,
-                latency_seconds=latency,
-                assignment_order=len(runs) + offset + 1,
-            )
-            for offset, (worker_id, answer, latency, submitted_at) in enumerate(answers)
-        ]
-        self.store.append_runs(task.task_id, new_runs)
-        if len(runs) + len(new_runs) >= task.n_assignments and task.completed_at is None:
-            task.completed_at = self.clock.now
-            self.store.update_task(task)
-        return len(new_runs)
+        return answers
 
     def _pick_worker(self, task: Task, exclude: set[str], remaining: int):
         """Pick a worker for *task* honouring distinct-worker redundancy."""

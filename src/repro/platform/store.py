@@ -59,7 +59,7 @@ from __future__ import annotations
 import abc
 import bisect
 import threading
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.config import PlatformConfig
 from repro.exceptions import ConfigurationError, DuplicateKeyError, PlatformError
@@ -201,8 +201,11 @@ class TaskStore(abc.ABC):
         """Return one task (or None) per requested id, in request order."""
 
     @abc.abstractmethod
-    def update_task(self, task: Task) -> None:
-        """Persist mutated fields of an existing task (redundancy, completion)."""
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        """Persist mutated fields of existing *tasks* (redundancy, completion).
+
+        One batch: on a durable store a single engine write for the lot.
+        """
 
     @abc.abstractmethod
     def remove_task(self, task: Task) -> None:
@@ -283,16 +286,20 @@ class TaskStore(abc.ABC):
     # -- task runs ---------------------------------------------------------
 
     @abc.abstractmethod
-    def runs_for_task(self, task_id: int) -> list[TaskRun]:
-        """Return the runs of *task_id* in submission order ([] when none)."""
-
-    @abc.abstractmethod
     def runs_for_tasks(self, task_ids: Sequence[int]) -> list[list[TaskRun]]:
-        """Bulk :meth:`runs_for_task`: one run list per id, in request order."""
+        """One run list per id, in request order; each in submission order
+        ([] for a task without runs)."""
 
     @abc.abstractmethod
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        """Append *runs* to the task's answer list (one durable write)."""
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        """Append each task's runs to its answer list, as one batch.
+
+        ``simulate_work`` hands over one page of tasks at a time.  On a
+        durable store the batch is one engine read plus one engine write
+        (or one buffered append, see ``append_batch_size``); the write
+        lands per task — a crash leaves some tasks with all their new runs
+        and the rest with none, never a partial run list.
+        """
 
     # -- derived reads shared by both implementations ----------------------
 
@@ -331,7 +338,7 @@ class MemoryTaskStore(TaskStore):
 
     Model objects are stored by reference (a task returned by the server is
     the stored task), which is exactly what the in-process simulator always
-    did; :meth:`update_task` is therefore a no-op for objects obtained from
+    did; :meth:`update_tasks` is therefore a no-op for objects obtained from
     this store.
     """
 
@@ -433,8 +440,9 @@ class MemoryTaskStore(TaskStore):
     def get_tasks(self, task_ids: Sequence[int]) -> list[Task | None]:
         return [self._tasks.get(task_id) for task_id in task_ids]
 
-    def update_task(self, task: Task) -> None:
-        self._tasks[task.task_id] = task
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        for task in tasks:
+            self._tasks[task.task_id] = task
 
     def remove_task(self, task: Task) -> None:
         self._tasks_by_project[task.project_id].remove(task.task_id)
@@ -475,14 +483,12 @@ class MemoryTaskStore(TaskStore):
 
     # -- task runs ---------------------------------------------------------
 
-    def runs_for_task(self, task_id: int) -> list[TaskRun]:
-        return list(self._task_runs.get(task_id, []))
-
     def runs_for_tasks(self, task_ids: Sequence[int]) -> list[list[TaskRun]]:
         return [list(self._task_runs.get(task_id, [])) for task_id in task_ids]
 
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        self._task_runs.setdefault(task_id, []).extend(runs)
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        for task_id, runs in runs_by_task.items():
+            self._task_runs.setdefault(task_id, []).extend(runs)
 
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
         return [len(self._task_runs.get(task_id, ())) for task_id in task_ids]
@@ -502,9 +508,9 @@ class DurableTaskStore(TaskStore):
 
     See the module docstring for the table layout and recovery invariants.
     Writes are batched through the engine's ``put_many`` wherever the server
-    hands over a batch (``create_tasks``, per-task run appends), so the
-    durable cost of the bulk execution path stays O(1) engine round-trips in
-    the batch size.
+    hands over a batch (``create_tasks``, a page of run appends, a page of
+    completion stamps, a redundancy extension), so the durable cost of the
+    bulk execution path stays O(1) engine round-trips in the batch size.
     """
 
     store_name = "durable"
@@ -535,20 +541,19 @@ class DurableTaskStore(TaskStore):
                 run totals, latest timestamp) that would otherwise serve
                 stale answers about another writer's data.
             append_batch_size: Run appends per durable write.  1 (the
-                default) writes every :meth:`append_runs` through
-                immediately — the seed behaviour.  Larger values buffer
-                appended runs in memory and flush them as one engine
-                ``put_many`` once *append_batch_size* runs have
-                accumulated (and on :meth:`flush`/:meth:`close`), which
-                amortises ``simulate_work``'s one-durable-write-per-task
-                cost across tasks.  Reads merge the buffer transparently;
-                a crash can lose at most one buffered batch of answers,
-                which a rerun of ``simulate_work`` re-creates (the same
-                top-up idempotence that heals a crash between per-task
-                writes).
+                default) writes every :meth:`append_runs` batch through
+                immediately.  Larger values buffer appended runs in memory
+                and flush them as one engine ``put_many`` once
+                *append_batch_size* runs have accumulated (and on
+                :meth:`flush`/:meth:`close`/:meth:`flush_appends`), which
+                coalesces appends across batches.  Reads merge the buffer
+                transparently; a crash can lose at most one buffered batch
+                of answers, which a rerun of ``simulate_work`` re-creates
+                (the same top-up idempotence that heals a crash between
+                page writes).
             group_commit: Defer the engine's durability barrier across each
                 write wave (a task publish's multi-table batches, each run
-                append) and commit with one ``commit_group`` per wave /
+                append batch) and commit with one ``commit_group`` per wave /
                 flush point — one fsync per touched storage member instead
                 of one per write.  Reads on this handle (and other handles
                 on the same engine object) merge deferred writes
@@ -897,8 +902,15 @@ class DurableTaskStore(TaskStore):
             for payload in payloads
         ]
 
-    def update_task(self, task: Task) -> None:
-        self._engine.put(self._tasks_table, self._id_key(task.task_id), task.to_dict())
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        if not tasks:
+            return
+        # Never deferred, even under group commit: an accepted redundancy
+        # extension must be durable when the call returns.
+        self._engine.put_many(
+            self._tasks_table,
+            [(self._id_key(task.task_id), task.to_dict()) for task in tasks],
+        )
 
     def remove_task(self, task: Task) -> None:
         self._flush_pending_runs()
@@ -992,11 +1004,6 @@ class DurableTaskStore(TaskStore):
             return stored
         return list(stored) + pending
 
-    def runs_for_task(self, task_id: int) -> list[TaskRun]:
-        key = self._id_key(task_id)
-        payload = self._engine.get(self._runs_table, key, default=[])
-        return self._decode_runs(self._merged_payload(key, payload))
-
     def runs_for_tasks(self, task_ids: Sequence[int]) -> list[list[TaskRun]]:
         keys = [self._id_key(task_id) for task_id in task_ids]
         payloads = self._engine.get_many(self._runs_table, keys, default=[])
@@ -1005,58 +1012,65 @@ class DurableTaskStore(TaskStore):
             for key, payload in zip(keys, payloads)
         ]
 
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        if not runs:
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        appended = {
+            self._id_key(task_id): [run.to_dict() for run in runs]
+            for task_id, runs in runs_by_task.items()
+            if runs
+        }
+        if not appended:
             return
-        key = self._id_key(task_id)
+        added = sum(len(payload) for payload in appended.values())
         if self._append_batch_size > 1:
-            self._pending_runs.setdefault(key, []).extend(
-                run.to_dict() for run in runs
-            )
-            self._pending_run_count += len(runs)
-            if self._total_runs is not None:
-                self._total_runs += len(runs)
-            if self._pending_run_count >= self._append_batch_size:
-                self._flush_pending_runs()
-            return
-        # Copy before extending: the memory engine hands out its stored list
-        # by reference, and the stored value must only change via put.
-        stored = list(self._engine.get(self._runs_table, key, default=[]))
-        stored.extend(run.to_dict() for run in runs)
-        # Under group commit the append rides to the next barrier (a lease
-        # allocation, an explicit flush, or close) instead of paying its own
-        # commit — the simulate loop's hot path.  Reads on this engine see
-        # the deferred write immediately.
-        self._engine.put_many(
-            self._runs_table, [(key, stored)], defer_commit=self._group_commit
-        )
+            for key, payload in appended.items():
+                self._pending_runs.setdefault(key, []).extend(payload)
+            self._pending_run_count += added
+        else:
+            self._write_runs(appended)
         if self._total_runs is not None:
-            self._total_runs += len(runs)
+            self._total_runs += added
+        if self._pending_run_count >= self._append_batch_size:
+            self._flush_pending_runs()
+
+    def _write_runs(self, appended: Mapping[str, list[dict[str, Any]]]) -> None:
+        """Extend the stored run lists of *appended*'s keys as one engine batch.
+
+        One ``get_many`` to fetch the touched tasks' stored run lists, one
+        ``put_many`` to write them back extended — O(1) engine round-trips
+        no matter how many tasks contributed.  The write is atomic per
+        engine batch semantics, so a crash loses either the whole batch or
+        (on the crash-stepping engines) a key-prefix of it; both heal by
+        re-running ``simulate_work``.  Under group commit the write rides
+        to the next barrier (a lease allocation, a flush, or close) instead
+        of paying its own commit; reads on this engine see it immediately.
+        """
+        keys = list(appended)
+        stored_lists = self._engine.get_many(self._runs_table, keys, default=[])
+        # Concatenate into a new list: the memory engine hands out its
+        # stored list by reference, and the stored value must only change
+        # via put.
+        self._engine.put_many(
+            self._runs_table,
+            [(key, list(stored) + appended[key]) for key, stored in zip(keys, stored_lists)],
+            defer_commit=self._group_commit,
+        )
 
     def _flush_pending_runs(self) -> None:
         """Flush the write-behind append buffer as one engine batch.
 
-        One ``get_many`` to fetch the touched tasks' stored run lists, one
-        ``put_many`` to write them back extended — O(1) engine round-trips
-        per flush no matter how many tasks contributed appends.  The write
-        is atomic per engine batch semantics, so a crash loses either the
-        whole buffer or (on the crash-stepping engines) a key-prefix of
-        it; both heal by re-running ``simulate_work``.
+        The buffer is emptied *before* the write: a write that fails part
+        way (some keys landed) must not be replayed on top of itself by a
+        later flush — the lost answers were never reported durable, and a
+        rerun of ``simulate_work`` re-creates them.
         """
         if not self._pending_runs:
             return
-        keys = list(self._pending_runs)
-        stored_lists = self._engine.get_many(self._runs_table, keys, default=[])
-        self._engine.put_many(
-            self._runs_table,
-            [
-                (key, list(stored) + self._pending_runs[key])
-                for key, stored in zip(keys, stored_lists)
-            ],
-            defer_commit=self._group_commit,
-        )
-        self._pending_runs = {}
-        self._pending_run_count = 0
+        pending, self._pending_runs, self._pending_run_count = self._pending_runs, {}, 0
+        try:
+            self._write_runs(pending)
+        except BaseException:
+            self._total_runs = None  # counted the lost answers; recount on demand
+            raise
 
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
         keys = [self._id_key(task_id) for task_id in task_ids]

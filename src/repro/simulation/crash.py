@@ -125,6 +125,8 @@ class CrashingEngine(StorageEngine):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
+        *,
+        defer_commit: bool = False,
     ) -> list[Record]:
         """Write the batch one item at a time so a crash can land mid-batch.
 
@@ -132,7 +134,10 @@ class CrashingEngine(StorageEngine):
         write: each item becomes durable individually and counts as one
         write, which is the hardest recovery scenario — a prefix of the
         batch survives the crash and the rerun must fill only the gap.
+        ``defer_commit`` is accepted and ignored: every item is already
+        written through on its own.
         """
+        del defer_commit
         records: list[Record] = []
         for key, value in items:
             if if_absent:

@@ -147,8 +147,8 @@ def observable(store, project, tasks):
         "counts": store.counts(),
         "task_ids": [task.task_id for task in tasks],
         "runs": [
-            [run.to_dict() for run in store.runs_for_task(task.task_id)]
-            for task in tasks
+            [run.to_dict() for run in runs]
+            for runs in store.runs_for_tasks([task.task_id for task in tasks])
         ],
         "latest": store.latest_timestamp(),
     }
@@ -216,10 +216,9 @@ class TestStoreGroupCommit:
         # simulate_work ends in flush_appends — itself a barrier — so a real
         # crash can only lose appends issued since the last call.)
         first_run_id = store.allocate_run_ids(len(tasks), clock_time=1.0)
-        for offset, task in enumerate(tasks):
-            store.append_runs(
-                task.task_id,
-                [
+        store.append_runs(
+            {
+                task.task_id: [
                     TaskRun(
                         run_id=first_run_id + offset,
                         task_id=task.task_id,
@@ -229,8 +228,10 @@ class TestStoreGroupCommit:
                         submitted_at=1.0,
                         assignment_order=1,
                     )
-                ],
-            )
+                ]
+                for offset, task in enumerate(tasks)
+            }
+        )
         assert store.counts()["task_runs"] == 4  # visible pre-barrier
         survivor = DurableTaskStore(LogStructuredEngine(path, snapshot_every=1000))
         counts = survivor.counts()

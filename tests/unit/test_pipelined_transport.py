@@ -20,6 +20,7 @@ import pytest
 from repro.config import PlatformConfig, ReprowdConfig
 from repro.exceptions import ConfigurationError, PlatformError, PlatformUnavailableError
 from repro.platform.client import PipelinedClient, PlatformClient
+from repro.platform.models import TaskRun
 from repro.platform.server import PlatformServer
 from repro.platform.store import DurableTaskStore
 from repro.platform.transport import (
@@ -419,6 +420,21 @@ class TestPipelinedFaultInjection:
         client.close()
 
 
+def answer_runs(task, count: int) -> list[TaskRun]:
+    """*count* fresh answers to *task*, as ``simulate_work`` would append them."""
+    return [
+        TaskRun(
+            run_id=1000 * task.task_id + order,
+            task_id=task.task_id,
+            project_id=task.project_id,
+            worker_id=f"w{order}",
+            answer="Yes",
+            assignment_order=order,
+        )
+        for order in range(1, count + 1)
+    ]
+
+
 class TestDurableStoreAppendBatch:
     def test_reads_merge_the_buffer(self):
         engine = MemoryEngine()
@@ -427,10 +443,9 @@ class TestDurableStoreAppendBatch:
         client = PlatformClient(server)
         project = client.create_project("p")
         (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=3))
-        server._fill_task(server.get_task(task.task_id), None, 0)
+        store.append_runs({task.task_id: answer_runs(task, 3)})
         # Before any flush the engine may be behind, but the store is not.
         assert store.run_counts_for_tasks([task.task_id]) == [3]
-        assert len(store.runs_for_task(task.task_id)) == 3
         assert [len(runs) for runs in store.runs_for_tasks([task.task_id])] == [3]
         store.flush()
         assert len(engine.get("platform::runs", f"{task.task_id:012d}")) == 3
@@ -475,7 +490,7 @@ class TestDurableStoreAppendBatch:
         client = PlatformClient(server)
         project = client.create_project("p")
         (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=2))
-        server._fill_task(server.get_task(task.task_id), None, 0)
+        store.append_runs({task.task_id: answer_runs(task, 2)})
         assert store.counts()["task_runs"] == 2
 
     def test_invalid_append_batch_size(self):
