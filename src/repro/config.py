@@ -10,12 +10,33 @@ platform behaviour.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, TypeVar
+
+from repro.exceptions import ConfigurationError
 
 DEFAULT_DB_FILENAME = "reprowd.db"
 DEFAULT_REDUNDANCY = 3
 DEFAULT_SEED = 7
+
+_Config = TypeVar("_Config")
+
+
+def build_from_mapping(
+    cls: type[_Config], section: str, mapping: Mapping[str, Any]
+) -> _Config:
+    """Build dataclass *cls* from *mapping*, refusing keys it does not define.
+
+    Outside input (parsed JSON, a saved config) with a misspelt or retired
+    key raises :class:`ConfigurationError` naming *section* and every
+    offending key, instead of the constructor's bare ``TypeError``.
+    """
+    unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {section} config key(s): {', '.join(map(repr, unknown))}"
+        )
+    return cls(**mapping)
 
 
 @dataclass(frozen=True)
@@ -137,17 +158,6 @@ class PlatformConfig:
         pipeline_batch_size: For the pipelined transport, how many task
             specs each in-flight ``create_tasks`` sub-batch carries (also
             the default slice size of pipelined iteration).
-        append_batch_size: For a durable store, how many task-run appends
-            are coalesced into one engine write (``simulate_work``'s
-            write-behind batch).  1, the default, writes every append
-            through immediately.
-        group_commit: For a durable store, defer the engine's durability
-            barrier across each multi-table write wave (task publishes,
-            coalesced run appends) and commit the whole wave with one
-            ``commit_group`` — one fsync per storage member per wave
-            instead of one per write.  A crash loses at most the last
-            uncommitted wave, never a torn prefix of it; the idempotent
-            publish/ingest paths heal a rerun.  Off by default.
     """
 
     name: str = "simulated-pybossa"
@@ -165,8 +175,6 @@ class PlatformConfig:
     retry_backoff_seconds: float | None = None
     max_in_flight: int = 8
     pipeline_batch_size: int = 500
-    append_batch_size: int = 1
-    group_commit: bool = False
 
 
 @dataclass(frozen=True)
@@ -245,17 +253,24 @@ class ReprowdConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "ReprowdConfig":
-        """Build a configuration from a nested mapping (e.g. parsed JSON)."""
-        storage = StorageConfig(**dict(mapping.get("storage", {})))
+        """Build a configuration from a nested mapping (e.g. parsed JSON).
+
+        Raises:
+            ConfigurationError: A key no section defines, at any level.
+        """
+        storage = build_from_mapping(StorageConfig, "storage", mapping.get("storage", {}))
         platform_mapping = dict(mapping.get("platform", {}))
         if isinstance(platform_mapping.get("store_engine"), Mapping):
-            platform_mapping["store_engine"] = StorageConfig(
-                **dict(platform_mapping["store_engine"])
+            platform_mapping["store_engine"] = build_from_mapping(
+                StorageConfig, "platform.store_engine", platform_mapping["store_engine"]
             )
-        platform = PlatformConfig(**platform_mapping)
-        workers = WorkerPoolConfig(**dict(mapping.get("workers", {})))
+        platform = build_from_mapping(PlatformConfig, "platform", platform_mapping)
+        workers = build_from_mapping(
+            WorkerPoolConfig, "workers", mapping.get("workers", {})
+        )
         seed = int(mapping.get("seed", DEFAULT_SEED))
-        return cls(storage=storage, platform=platform, workers=workers, seed=seed)
+        sections = {"storage": storage, "platform": platform, "workers": workers}
+        return build_from_mapping(cls, "top-level", {**mapping, **sections, "seed": seed})
 
     def resolve_db_path(self, base_dir: str | None = None) -> str:
         """Return the absolute path of the database file.

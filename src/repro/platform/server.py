@@ -492,7 +492,8 @@ class PlatformServer:
 
         Each project is filled one ``_work_page_size`` page of tasks at a
         time, as one write wave per page (see :meth:`_fill_page`), so the
-        durable cost is O(pages), not O(tasks).
+        durable cost is O(pages), not O(tasks).  The store writes through,
+        so every answer created is durable when the call returns.
 
         Args:
             project_id: Restrict the simulation to one project (all when None).
@@ -509,23 +510,13 @@ class PlatformServer:
         else:
             self.get_project(project_id)
             project_ids = [project_id]
-        try:
-            for pid in project_ids:
-                for page in self._iter_task_id_pages(pid):
-                    budget = None if max_assignments is None else max_assignments - created
-                    created += self._fill_page(page, budget)
-                    if max_assignments is not None and created >= max_assignments:
-                        return created
-            return created
-        finally:
-            # With a run-append batch (PlatformConfig.append_batch_size >
-            # 1) the page appends above may still sit in the store's
-            # write-behind buffer; flushing the appends restores the
-            # call's durability contract — when simulate_work returns,
-            # every answer it created is on the engine.  (Not a full
-            # store flush: write-through stores must not pay an extra
-            # engine commit/fsync per call.)
-            self.store.flush_appends()
+        for pid in project_ids:
+            for page in self._iter_task_id_pages(pid):
+                budget = None if max_assignments is None else max_assignments - created
+                created += self._fill_page(page, budget)
+                if max_assignments is not None and created >= max_assignments:
+                    return created
+        return created
 
     def _fill_page(self, task_ids: Sequence[int], budget: int | None) -> int:
         """Fill the missing assignments of one page of tasks; return answers created.
@@ -665,7 +656,7 @@ class PlatformServer:
     # -- lifecycle -----------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush the task store's buffered writes to durable storage."""
+        """Flush the task store's engine (store writes are already durable on return)."""
         self.store.flush()
 
     def close(self) -> None:

@@ -29,6 +29,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.config import build_from_mapping
 from repro.exceptions import ConfigurationError
 from repro.presenters.base import BasePresenter, registry
 from repro.utils.validation import require_positive
@@ -94,7 +95,7 @@ class TaskType:
         data = dict(mapping)
         if "candidates" in data:
             data["candidates"] = tuple(data["candidates"])
-        return cls(**data)
+        return build_from_mapping(cls, "task_type", data)
 
 
 #: The default three-type marketplace: cheap fast labels, mid-priced pair
@@ -170,7 +171,7 @@ class SpammerWave:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "SpammerWave":
-        return cls(**dict(mapping))
+        return build_from_mapping(cls, "spammer_wave", mapping)
 
 
 # -- deterministic key -> type / truth assignment ------------------------------

@@ -13,6 +13,8 @@ from repro.config import (
     StorageConfig,
     WorkerPoolConfig,
 )
+from repro.exceptions import ConfigurationError
+from repro.workload.scenario import ScenarioSpec
 
 
 class TestStorageConfig:
@@ -61,6 +63,37 @@ class TestReprowdConfig:
     def test_from_mapping_defaults(self):
         config = ReprowdConfig.from_mapping({})
         assert config.platform.default_redundancy == DEFAULT_REDUNDANCY
+
+    @pytest.mark.parametrize(
+        "build, mapping, section, keys",
+        [
+            (ReprowdConfig.from_mapping, {"platform": {"group_commit": True}},
+             "platform", ["group_commit"]),
+            (ReprowdConfig.from_mapping, {"platform": {"append_batch_size": 8}},
+             "platform", ["append_batch_size"]),
+            (ReprowdConfig.from_mapping, {"platform": {"grup_commit": True, "seed": 1}},
+             "platform", ["grup_commit"]),
+            (ReprowdConfig.from_mapping, {"storage": {"engin": "memory", "shard": 2}},
+             "storage", ["engin", "shard"]),
+            (ReprowdConfig.from_mapping,
+             {"platform": {"store_engine": {"path": "x.db", "wal": True}}},
+             "platform.store_engine", ["wal"]),
+            (ReprowdConfig.from_mapping, {"workers": {"sizes": 3}}, "workers", ["sizes"]),
+            (ReprowdConfig.from_mapping, {"platfrom": {}}, "top-level", ["platfrom"]),
+            (ScenarioSpec.from_mapping, {"group_commit": True},
+             "scenario", ["group_commit"]),
+            (ScenarioSpec.from_mapping,
+             {**ScenarioSpec().to_mapping(), "append_batch_size": 4},
+             "scenario", ["append_batch_size"]),
+        ],
+    )
+    def test_from_mapping_rejects_unknown_keys(self, build, mapping, section, keys):
+        with pytest.raises(ConfigurationError) as raised:
+            build(mapping)
+        message = str(raised.value)
+        assert f"unknown {section} config key" in message
+        for key in keys:
+            assert repr(key) in message
 
     def test_resolve_db_path_memory(self):
         assert ReprowdConfig.in_memory().resolve_db_path() == ":memory:"

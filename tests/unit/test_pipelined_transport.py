@@ -3,10 +3,10 @@
 Covers the :class:`AsyncTransport` concurrency layer (bounded in-flight
 window, ticket-ordered server application, flush-on-read barrier), the
 :class:`PipelinedClient` facade (in-flight ``create_tasks`` sub-batches,
-slice-pumped iteration), the durable store's write-behind run-append batch,
-the buffered manipulation log, and — the hard part — the fault-injection
-scenarios where a failure lands on an in-flight batch: no duplicate tasks,
-no lost appends, retries attributed to the right call name.
+slice-pumped iteration), the durable store's run appends being durable
+on return, and — the hard part — the fault-injection scenarios where a
+failure lands on an in-flight batch: no duplicate tasks, no lost appends,
+retries attributed to the right call name.
 """
 
 from __future__ import annotations
@@ -18,9 +18,13 @@ from typing import Any, Callable
 import pytest
 
 from repro.config import PlatformConfig, ReprowdConfig
-from repro.exceptions import ConfigurationError, PlatformError, PlatformUnavailableError
+from repro.exceptions import (
+    ConfigurationError,
+    CrashInjected,
+    PlatformError,
+    PlatformUnavailableError,
+)
 from repro.platform.client import PipelinedClient, PlatformClient
-from repro.platform.models import TaskRun
 from repro.platform.server import PlatformServer
 from repro.platform.store import DurableTaskStore
 from repro.platform.transport import (
@@ -31,6 +35,7 @@ from repro.platform.transport import (
     LatencyInjectingTransport,
     Transport,
 )
+from repro.simulation import CrashPlan, CrashingEngine
 from repro.storage import MemoryEngine
 from repro.workers.pool import WorkerPool
 
@@ -381,9 +386,9 @@ class TestPipelinedFaultInjection:
         assert fault.statistics()["failures_injected"] > 0
         client.close()
 
-    def test_no_lost_appends_with_write_behind_batch_under_faults(self):
+    def test_no_lost_appends_under_faults(self):
         engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=64)
+        store = DurableTaskStore(engine)
         fault = FaultInjectingTransport(failure_rate=0.3, duplicate_rate=0.2, seed=5)
         client = PipelinedClient(
             make_server(store=store),
@@ -396,8 +401,8 @@ class TestPipelinedFaultInjection:
         client.create_tasks(project.project_id, task_specs(160, redundancy=2))
         created = client.simulate_work(project.project_id)
         assert created == 320
-        # Every append survived the batching + faults, durably: a store
-        # reopened on the same engine sees all of them.
+        # Every append survived the faults, durably: a store reopened on
+        # the same engine sees all of them.
         reopened = PlatformServer(
             worker_pool=WorkerPool.uniform(size=8, accuracy=0.95, seed=2),
             config=PlatformConfig(seed=2),
@@ -420,119 +425,32 @@ class TestPipelinedFaultInjection:
         client.close()
 
 
-def answer_runs(task, count: int) -> list[TaskRun]:
-    """*count* fresh answers to *task*, as ``simulate_work`` would append them."""
-    return [
-        TaskRun(
-            run_id=1000 * task.task_id + order,
-            task_id=task.task_id,
-            project_id=task.project_id,
-            worker_id=f"w{order}",
-            answer="Yes",
-            assignment_order=order,
-        )
-        for order in range(1, count + 1)
-    ]
-
-
-class TestDurableStoreAppendBatch:
-    def test_reads_merge_the_buffer(self):
+class TestDurableStoreRunAppends:
+    def test_simulate_work_is_durable_on_return(self):
         engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=1000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
-        project = client.create_project("p")
-        (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=3))
-        store.append_runs({task.task_id: answer_runs(task, 3)})
-        # Before any flush the engine may be behind, but the store is not.
-        assert store.run_counts_for_tasks([task.task_id]) == [3]
-        assert [len(runs) for runs in store.runs_for_tasks([task.task_id])] == [3]
-        store.flush()
-        assert len(engine.get("platform::runs", f"{task.task_id:012d}")) == 3
-
-    def test_simulate_work_flushes_on_return(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        client = PlatformClient(make_server(store=store))
+        client = PlatformClient(make_server(store=DurableTaskStore(engine)))
         project = client.create_project("p")
         client.create_tasks(project.project_id, task_specs(20, redundancy=2))
         client.simulate_work(project.project_id)
-        assert store._pending_run_count == 0
         reopened = DurableTaskStore(engine)
         assert reopened.counts()["task_runs"] == 40
 
-    def test_lost_buffer_converges_on_rerun(self):
+    def test_crash_mid_simulation_converges_on_rerun(self):
         engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
+        client = PlatformClient(make_server(store=DurableTaskStore(engine)))
         project = client.create_project("p")
         client.create_tasks(project.project_id, task_specs(10, redundancy=2))
-        # Crash mid-simulation: answers for a few tasks sit in the buffer.
-        client.simulate_work(project.project_id, max_assignments=6)
-        store._pending_runs = {}
-        store._pending_run_count = 0
-        store._total_runs = None  # discard the optimistic cache with the buffer
-        # The "restarted" server tops the project up to exactly-once.
-        restarted = PlatformServer(
-            worker_pool=WorkerPool.uniform(size=8, accuracy=0.95, seed=2),
-            config=PlatformConfig(seed=2),
-            store=DurableTaskStore(engine),
-        )
+        # Crash inside the run append: the lease, the counter hint and a
+        # prefix of the tasks' run lists land, the rest never does.
+        crashing = DurableTaskStore(CrashingEngine(engine, CrashPlan(crash_after_writes=6)))
+        with pytest.raises(CrashInjected):
+            make_server(store=crashing).simulate_work(project.project_id)
+        # The restarted server tops the project up to exactly-once.
+        restarted = make_server(store=DurableTaskStore(engine))
+        assert 0 < restarted.pending_assignments(project.project_id) < 20
         restarted.simulate_work(project.project_id)
         assert restarted.pending_assignments(project.project_id) == 0
         assert restarted.statistics()["task_runs"] == 20
-
-    def test_counts_include_buffered_runs(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
-        project = client.create_project("p")
-        (task,) = client.create_tasks(project.project_id, task_specs(1, redundancy=2))
-        store.append_runs({task.task_id: answer_runs(task, 2)})
-        assert store.counts()["task_runs"] == 2
-
-    def test_invalid_append_batch_size(self):
-        with pytest.raises(ValueError):
-            DurableTaskStore(MemoryEngine(), append_batch_size=0)
-
-
-class TestBufferedManipulationLog:
-    def test_buffered_records_flush_when_full(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=3)
-        log.record("a")
-        log.record("b")
-        assert memory_engine.count("t::manipulations") == 0
-        log.record("c")  # fills the buffer -> one put_many
-        assert memory_engine.count("t::manipulations") == 3
-        assert log.operations() == ["a", "b", "c"]
-
-    def test_reads_flush_the_buffer(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=10)
-        log.record("a")
-        assert len(log) == 1  # flush-on-read
-        log.record("b")
-        assert [m.operation for m in log.history()] == ["a", "b"]
-        assert [m.sequence for m in log.history()] == [1, 2]
-
-    def test_record_many_lands_after_buffered_entries(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=10)
-        log.record("a")
-        log.record_many([{"operation": "b"}, {"operation": "c"}])
-        assert log.operations() == ["a", "b", "c"]
-
-    def test_invalid_buffer_size(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        with pytest.raises(ValueError):
-            ManipulationLog(memory_engine, "t", buffer_size=0)
 
 
 class TestConfigWiring:

@@ -147,14 +147,12 @@ def run_lists(store, project_id):
     return task_ids, store.get_tasks(task_ids), store.runs_for_tasks(task_ids)
 
 
-def sweep_writes(new_engine, options) -> int:
+def sweep_writes(new_engine) -> int:
     """Engine writes one uninterrupted swept ``simulate_work`` makes."""
     engine = new_engine()
     project_id = publish_sweep_project(engine)
     plan = CrashPlan()
-    sweep_server(DurableTaskStore(CrashingEngine(engine, plan), **options)).simulate_work(
-        project_id
-    )
+    sweep_server(DurableTaskStore(CrashingEngine(engine, plan))).simulate_work(project_id)
     return plan.writes_seen
 
 
@@ -166,18 +164,10 @@ def engine_factory(engine_name, tmp_path):
     return lambda: SqliteEngine(next(paths))
 
 
-@pytest.mark.parametrize(
-    "engine_name, options",
-    [
-        ("memory", {}),
-        ("memory", {"group_commit": True}),
-        ("memory", {"append_batch_size": 4}),
-        ("sqlite", {}),
-    ],
-)
-def test_crash_after_every_write_converges_on_rerun(engine_name, options, tmp_path):
+@pytest.mark.parametrize("engine_name", ["memory", "sqlite"])
+def test_crash_after_every_write_converges_on_rerun(engine_name, tmp_path):
     new_engine = engine_factory(engine_name, tmp_path)
-    total_writes = sweep_writes(new_engine, options)
+    total_writes = sweep_writes(new_engine)
     # Two pages, each at least a lease, a hint, runs and stamps.
     assert total_writes >= 2 * 4
     for crash_after in range(1, total_writes + 1):
@@ -186,7 +176,7 @@ def test_crash_after_every_write_converges_on_rerun(engine_name, options, tmp_pa
         _, _, before = run_lists(DurableTaskStore(engine), project_id)
         crashing = CrashingEngine(engine, CrashPlan(crash_after_writes=crash_after))
         with pytest.raises(CrashInjected):
-            sweep_server(DurableTaskStore(crashing, **options)).simulate_work(project_id)
+            sweep_server(DurableTaskStore(crashing)).simulate_work(project_id)
 
         # The crash left whole-task run lists only: each task holds what it
         # had before the call or all of its assignments.
@@ -282,11 +272,6 @@ class CountingSqlite(SqliteEngine):
             self.commits += 1
         super()._commit(defer)
 
-    def commit_group(self) -> None:
-        if self._dirty:
-            self.commits += 1
-        super().commit_group()
-
     def put(self, *args, **kwargs):
         self.writes += 1
         return super().put(*args, **kwargs)
@@ -308,9 +293,9 @@ class CountingSqlite(SqliteEngine):
         return super().delete_many(*args, **kwargs)
 
 
-def counted_server(tmp_path, name, num_tasks, redundancy=2, **options):
+def counted_server(tmp_path, name, num_tasks, redundancy=2):
     engine = CountingSqlite(str(tmp_path / f"{name}.db"))
-    store = DurableTaskStore(engine, owns_engine=True, **options)
+    store = DurableTaskStore(engine, owns_engine=True)
     server = PlatformServer(
         worker_pool=WorkerPool.uniform(size=8, accuracy=0.9, seed=4),
         config=PlatformConfig(seed=4),
@@ -325,14 +310,11 @@ def counted_server(tmp_path, name, num_tasks, redundancy=2, **options):
     return engine, server, project.project_id, tasks
 
 
-@pytest.mark.parametrize("options", [{}, {"group_commit": True}])
-def test_simulate_writes_grow_with_pages_not_tasks(options, tmp_path):
+def test_simulate_writes_grow_with_pages_not_tasks(tmp_path):
     page = PlatformServer._work_page_size
     counts = {}
     for num_tasks in (2 * page, 4 * page):
-        engine, server, project_id, _ = counted_server(
-            tmp_path, f"n{num_tasks}", num_tasks, **options
-        )
+        engine, server, project_id, _ = counted_server(tmp_path, f"n{num_tasks}", num_tasks)
         assert server.simulate_work(project_id) == 2 * num_tasks
         counts[num_tasks // page] = (engine.writes, engine.commits)
         server.close()
